@@ -19,7 +19,6 @@
 
 #include "bench/BenchCommon.h"
 #include "model/CTreeModel.h"
-#include "obs/Export.h"
 #include "sim/AccessPolicy.h"
 #include "support/Random.h"
 #include "support/SweepRunner.h"
@@ -27,7 +26,9 @@
 #include "trees/CTree.h"
 #include "trees/CompactTree.h"
 
+#include <algorithm>
 #include <cinttypes>
+#include <numeric>
 #include <vector>
 
 using namespace ccl;
@@ -99,20 +100,15 @@ CellTrace recordCell(unsigned TreeBits, StructKind Kind, unsigned Warmup,
 }
 
 /// Replays a recorded cell: warm the cache with the warmup prefix, then
-/// measure the steady-state window. The warmup mark is an index cut, so
-/// both phases run through replayParallel — sharded across the pool on
-/// multi-core hosts, a bit-identical serial walk otherwise.
+/// measure the steady-state window — the bounded-cursor phasing the
+/// trace engine exists for.
 uint64_t replayCell(const CellTrace &Trace,
-                    const sim::HierarchyConfig &Config,
-                    const SweepRunner &Pool,
-                    obs::ReplayShardingSummary &Sharding) {
-  sim::TraceShardIndex Index(Trace.Buf.view(), Config,
-                             {Trace.WarmupRecords}, Pool.threads());
-  size_t WarmCut = Index.cutForRecords(Trace.WarmupRecords);
+                    const sim::HierarchyConfig &Config) {
   sim::MemoryHierarchy M(Config);
-  Sharding.add(M.replayParallel(Index, 0, WarmCut, Pool));
+  sim::TraceCursor Cursor(Trace.Buf.view());
+  M.replay(Cursor, Trace.WarmupRecords);
   uint64_t Start = M.now();
-  Sharding.add(M.replayParallel(Index, WarmCut, Index.numCuts() - 1, Pool));
+  M.replay(Cursor, Trace.Buf.records() - Trace.WarmupRecords);
   return M.now() - Start;
 }
 
@@ -150,21 +146,25 @@ int main(int Argc, char **Argv) {
   // stream is recorded serially (deterministic allocation order, so the
   // captured addresses never depend on thread interleaving), then every
   // cell replays its warmup+window recording through its own cold
-  // hierarchy via replayParallel, which fans the cell's shard
-  // sub-streams across the SweepRunner pool. The merged statistics are
-  // bit-identical to the serial simulating sweep this replaced, at any
-  // thread count (single-core hosts take the serial fallback).
+  // hierarchy on a SweepRunner worker, longest recordings first. Replays
+  // consume only the sealed buffers, so the grid is byte-identical to
+  // the serial simulating sweep this replaced, at any thread count.
   std::vector<CellTrace> Traces;
   Traces.reserve(Bits.size() * NumStructKinds);
   for (size_t Cell = 0; Cell < Bits.size() * NumStructKinds; ++Cell)
     Traces.push_back(recordCell(Bits[Cell / NumStructKinds],
                                 StructKind(Cell % NumStructKinds), Warmup,
                                 Window, Params));
+  std::vector<size_t> Order(Traces.size());
+  std::iota(Order.begin(), Order.end(), size_t(0));
+  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+    return Traces[A].Buf.records() > Traces[B].Buf.records();
+  });
   std::vector<uint64_t> Cycles(Traces.size());
   SweepRunner Runner;
-  obs::ReplayShardingSummary Sharding;
-  for (size_t Cell = 0; Cell < Traces.size(); ++Cell)
-    Cycles[Cell] = replayCell(Traces[Cell], Config, Runner, Sharding);
+  Runner.run(Order.size(), [&](size_t I) {
+    Cycles[Order[I]] = replayCell(Traces[Order[I]], Config);
+  });
 
   bench::BenchJson Json("fig10", Full);
   TablePrinter Table({"tree keys", "D=log2(n+1)", "Rs(k=2)",
@@ -214,15 +214,6 @@ int main(int Argc, char **Argv) {
               "resident, so the prediction overshoots here where the\n"
               "paper's real-machine baseline (heavier TLB and memory "
               "system penalties) made it undershoot by ~15%%.\n");
-  Json.beginResult("replay_sharding");
-  Json.integer("replays", Sharding.Replays);
-  Json.integer("parallel_replays", Sharding.ParallelReplays);
-  Json.integer("records", Sharding.Records);
-  Json.integer("shards", Sharding.Shards);
-  Json.integer("workers", Sharding.Workers);
-  Json.num("max_imbalance", Sharding.MaxImbalance);
-  if (!Sharding.LastSerialReason.empty())
-    Json.str("serial_reason", Sharding.LastSerialReason);
   Json.writeIfRequested(bench::benchOutPath(Argc, Argv));
   return 0;
 }

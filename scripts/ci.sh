@@ -48,7 +48,7 @@ run_preset release
 echo "=== [release] sim suite with CCL_SIMD=off ==="
 CCL_SIMD=off ctest --test-dir build-release -j "$JOBS" \
   --output-on-failure \
-  -R '(trace_test|trace_v2_test|sim_golden_test|shard_replay_test|hierarchy_test)'
+  -R '(trace_test|trace_v2_test|sim_golden_test|hierarchy_test)'
 
 run_preset asan
 
@@ -88,8 +88,6 @@ if [[ "${CCL_BENCH_ARTIFACTS:-0}" == "1" ]]; then
     --out "$ART/BENCH_allocator_throughput.json"
   build-bench/bench/micro_morph_throughput \
     --out "$ART/BENCH_morph_throughput.json"
-  build-bench/bench/micro_morph_parallel \
-    --out "$ART/BENCH_morph_parallel.json"
   build-bench/bench/table1_simulation_params \
     --out "$ART/BENCH_table1.json" > /dev/null
   build-bench/bench/table2_benchmark_characteristics \

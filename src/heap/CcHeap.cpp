@@ -61,15 +61,7 @@ const char *ccl::heap::strategyName(CcStrategy Strategy) {
   return "unknown";
 }
 
-CcHeap::CcHeap(HeapConfig ConfigIn, SlabSource *SharedSlabs,
-               uint32_t ShardIdIn)
-    : Config(ConfigIn), ShardId(ShardIdIn) {
-  if (SharedSlabs) {
-    Slabs = SharedSlabs;
-  } else {
-    OwnedSlabs = std::make_unique<SlabSource>();
-    Slabs = OwnedSlabs.get();
-  }
+CcHeap::CcHeap(HeapConfig ConfigIn) : Config(ConfigIn) {
   assert(isPowerOf2(Config.PageBytes) && "page size must be a power of two");
   assert(isPowerOf2(Config.BlockBytes) &&
          "block size must be a power of two");
@@ -84,12 +76,6 @@ CcHeap::CcHeap(HeapConfig ConfigIn, SlabSource *SharedSlabs,
   BlockShift = static_cast<uint32_t>(std::countr_zero(Config.BlockBytes));
   FreeBins.resize((Config.BlockBytes - HeaderBytes) / 8);
 
-  rebindMetricsToCurrentThread();
-}
-
-CcHeap::~CcHeap() = default;
-
-void CcHeap::rebindMetricsToCurrentThread() {
   const HeapMetrics &M = heapMetrics();
   MAllocFast = metrics::cell(M.AllocFast);
   MAllocSlow = metrics::cell(M.AllocSlow);
@@ -101,9 +87,19 @@ void CcHeap::rebindMetricsToCurrentThread() {
   MBinRecycle = metrics::cell(M.BinRecycle);
 }
 
+CcHeap::~CcHeap() {
+  for (void *Slab : Slabs)
+    std::free(Slab);
+}
+
 CcHeap::PageInfo *CcHeap::newPage() {
   if (!SlabCursor || SlabCursor + Config.PageBytes > SlabEnd) {
-    void *Slab = Slabs->acquire(ShardId);
+    void *Slab = std::aligned_alloc(SlabBytes, SlabBytes);
+    if (!Slab) {
+      std::fprintf(stderr, "ccl: heap out of memory\n");
+      std::abort();
+    }
+    Slabs.push_back(Slab);
     SlabCursor = static_cast<char *>(Slab);
     SlabEnd = SlabCursor + SlabBytes;
   }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdlib>
 #include <cstring>
@@ -243,9 +244,17 @@ bool getU64(const std::string &Line, const char *Key, uint64_t &Out) {
   const char *Value = findValue(Line, Key);
   if (!Value)
     return false;
+  // strtoull would accept a sign ("-1" wraps to 2^64 - 1) and saturate
+  // on overflow; an unsigned field that is either is malformed.
+  if (*Value < '0' || *Value > '9')
+    return false;
+  errno = 0;
   char *End = nullptr;
-  Out = std::strtoull(Value, &End, 10);
-  return End != Value;
+  uint64_t Parsed = std::strtoull(Value, &End, 10);
+  if (errno == ERANGE)
+    return false;
+  Out = Parsed;
+  return true;
 }
 
 uint32_t getU32Or(const std::string &Line, const char *Key, uint32_t Def) {

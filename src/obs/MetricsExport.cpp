@@ -10,6 +10,7 @@
 #include "support/BuildInfo.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdlib>
 #include <cstring>
@@ -31,9 +32,17 @@ bool getU64(const std::string &Line, const char *Key, uint64_t &Out) {
   const char *Value = findValue(Line, Key);
   if (!Value)
     return false;
+  // strtoull would accept a sign ("-1" wraps to 2^64 - 1) and saturate
+  // on overflow; an unsigned field that is either is malformed.
+  if (*Value < '0' || *Value > '9')
+    return false;
+  errno = 0;
   char *End = nullptr;
-  Out = std::strtoull(Value, &End, 10);
-  return End != Value;
+  uint64_t Parsed = std::strtoull(Value, &End, 10);
+  if (errno == ERANGE)
+    return false;
+  Out = Parsed;
+  return true;
 }
 
 bool getString(const std::string &Line, const char *Key, std::string &Out) {
@@ -250,39 +259,6 @@ void ccl::obs::printMetricsReport(const MetricsDoc &Doc, std::FILE *Out) {
                  "WARNING: %" PRIu64 " span(s) dropped (fixed span "
                  "buffer filled)\n",
                  Doc.Data.SpansDropped);
-
-  // Parallel layout-tool summary: rendered when the dump shows the
-  // ccmorph parallel copy or the sharded ccmalloc slab source actually
-  // ran (the counters exist as zeros in every dump; absence of traffic
-  // is not worth a section).
-  auto counterValue = [&Doc](const char *Name) -> uint64_t {
-    for (const metrics::CounterSnapshot &C : Doc.Data.Counters)
-      if (C.Name == Name)
-        return C.Value;
-    return 0;
-  };
-  uint64_t MorphParallel = counterValue("ccmorph.parallel_passes");
-  uint64_t MorphFallback = counterValue("ccmorph.parallel_fallbacks");
-  uint64_t MorphSegments = counterValue("ccmorph.parallel_segments");
-  uint64_t SlabAcquires = counterValue("ccmalloc.slab_acquires");
-  if (MorphParallel || MorphFallback || SlabAcquires) {
-    std::fprintf(Out, "\nparallel layout tools:\n");
-    if (MorphParallel || MorphFallback) {
-      std::fprintf(Out,
-                   "  ccmorph: %" PRIu64 " parallel pass(es), %" PRIu64
-                   " serial fallback(s)",
-                   MorphParallel, MorphFallback);
-      if (MorphParallel)
-        std::fprintf(Out, ", %.1f segments/pass",
-                     double(MorphSegments) / double(MorphParallel));
-      std::fprintf(Out, "\n");
-    }
-    if (SlabAcquires)
-      std::fprintf(Out,
-                   "  ccmalloc: %" PRIu64 " slab acquisition(s) through "
-                   "the slab source\n",
-                   SlabAcquires);
-  }
 
   std::fprintf(Out, "\ncounters:\n");
   size_t Width = 8;

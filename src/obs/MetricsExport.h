@@ -13,7 +13,7 @@
 ///   {"kind":"meta","schema":"ccl-metrics-v1","binary":"fig5_...",
 ///    "git":"a382da8","simd":"avx2","clock_ns":123456}
 ///   {"kind":"c","name":"ccmalloc.alloc_fast","v":123}
-///   {"kind":"h","name":"replay.group_ns","count":8,"sum":91833,
+///   {"kind":"h","name":"sweep.queue_depth","count":8,"sum":91833,
 ///    "b":[[13,2],[14,6]]}            // sparse [bucket,count] pairs;
 ///                                    // bucket B holds bit_width==B
 ///   {"kind":"s","name":"fig5.replay","t0":1000,"dur":52000,"tid":0}
@@ -63,9 +63,7 @@ bool parseMetricsLine(const std::string &Line, MetricsDoc &Doc);
 long readMetricsFile(std::FILE *In, MetricsDoc &Doc);
 
 /// Human-readable report: counter table, histogram distributions
-/// (power-of-two buckets), span list. Dumps whose counters show
-/// parallel layout-tool activity (ccmorph.parallel_*,
-/// ccmalloc.slab_acquires) get a dedicated summary section.
+/// (power-of-two buckets), span list.
 void printMetricsReport(const MetricsDoc &Doc, std::FILE *Out);
 
 /// Re-render as one aggregated JSON document

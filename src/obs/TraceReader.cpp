@@ -6,6 +6,7 @@
 
 #include "obs/TraceReader.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
@@ -27,9 +28,17 @@ bool getU64(const std::string &Line, const char *Key, uint64_t &Out) {
   const char *Value = findValue(Line, Key);
   if (!Value)
     return false;
+  // strtoull would accept a sign ("-1" wraps to 2^64 - 1) and saturate
+  // on overflow; an unsigned field that is either is malformed.
+  if (*Value < '0' || *Value > '9')
+    return false;
+  errno = 0;
   char *End = nullptr;
-  Out = std::strtoull(Value, &End, 10);
-  return End != Value;
+  uint64_t Parsed = std::strtoull(Value, &End, 10);
+  if (errno == ERANGE)
+    return false;
+  Out = Parsed;
+  return true;
 }
 
 bool getString(const std::string &Line, const char *Key, std::string &Out) {
@@ -155,29 +164,6 @@ bool ccl::obs::parseTraceLine(const std::string &Line, TraceRecord &Out) {
     if (getU64(Line, "wb", U))
       E.Writeback = U != 0;
     Out.Evict = E;
-    return true;
-  }
-
-  if (Kind == "shard") {
-    Out.RecordKind = TraceRecord::Kind::Shard;
-    ReplayShardingEvent E;
-    if (getU64(Line, "shards", U))
-      E.Shards = uint32_t(U);
-    if (getU64(Line, "groups", U))
-      E.Groups = uint32_t(U);
-    if (getU64(Line, "workers", U))
-      E.Workers = uint32_t(U);
-    if (getU64(Line, "records", U))
-      E.Records = U;
-    if (getU64(Line, "min", U))
-      E.MinShardRecords = U;
-    if (getU64(Line, "max", U))
-      E.MaxShardRecords = U;
-    if (getU64(Line, "parallel", U))
-      E.Parallel = U != 0;
-    getString(Line, "reason", Out.SerialReason);
-    E.Reason = Out.SerialReason.c_str();
-    Out.Sharding = E;
     return true;
   }
 

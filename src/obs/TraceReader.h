@@ -26,7 +26,7 @@ namespace ccl::obs {
 
 /// One parsed trace line.
 struct TraceRecord {
-  enum class Kind { Meta, Region, Access, Evict, Prefetch, Shard } RecordKind;
+  enum class Kind { Meta, Region, Access, Evict, Prefetch } RecordKind;
 
   // Kind::Meta
   AttributionConfig Config;
@@ -54,12 +54,6 @@ struct TraceRecord {
 
   // Kind::Prefetch
   PrefetchEvent Prefetch;
-
-  // Kind::Shard (replayParallel telemetry; absent from dumps written
-  // before the sharded replay engine — readers must not require it).
-  // Sharding.Reason points into SerialReason, which owns the text.
-  ReplayShardingEvent Sharding;
-  std::string SerialReason;
 };
 
 /// Parses one JSONL line. Returns false (leaving \p Out unspecified) for

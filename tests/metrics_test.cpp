@@ -206,6 +206,23 @@ TEST(MetricsExport, ConcatenatedDumpsAccumulate) {
   EXPECT_FALSE(obs::parseMetricsLine("not json at all", Doc));
 }
 
+TEST(MetricsExport, RejectsSignedAndOverflowingCounts) {
+  // A counter is unsigned: "-1" must not wrap to 2^64 - 1 and an
+  // out-of-range value must not saturate; both lines are rejected.
+  obs::MetricsDoc Doc;
+  EXPECT_FALSE(obs::parseMetricsLine(
+      R"({"kind":"c","name":"x.neg","v":-1})", Doc));
+  EXPECT_FALSE(obs::parseMetricsLine(
+      R"({"kind":"c","name":"x.plus","v":+1})", Doc));
+  EXPECT_FALSE(obs::parseMetricsLine(
+      R"({"kind":"c","name":"x.big","v":18446744073709551616})", Doc));
+  EXPECT_TRUE(obs::parseMetricsLine(
+      R"({"kind":"c","name":"x.max","v":18446744073709551615})", Doc));
+  EXPECT_EQ(counterValue(Doc.Data, "x.max"), ~uint64_t(0));
+  for (const metrics::CounterSnapshot &C : Doc.Data.Counters)
+    EXPECT_EQ(C.Name, "x.max");
+}
+
 TEST(MetricsExport, DumpProcessMetricsEmptyPathIsNoop) {
   EXPECT_TRUE(obs::dumpProcessMetrics(""));
 }

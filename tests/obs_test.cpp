@@ -17,6 +17,7 @@
 #include "heap/CcHeap.h"
 #include "obs/Attribution.h"
 #include "obs/Export.h"
+#include "obs/FieldProfile.h"
 #include "obs/Observer.h"
 #include "obs/Region.h"
 #include "obs/TraceReader.h"
@@ -399,8 +400,6 @@ TEST(TraceExport, JsonlRoundTripRebuildsIdenticalProfile) {
     case TraceRecord::Kind::Prefetch:
       Replayed->onPrefetch(Record.Prefetch);
       break;
-    case TraceRecord::Kind::Shard:
-      break; // No replayParallel calls in this run.
     }
   });
   std::fclose(F);
@@ -465,72 +464,6 @@ TEST(ProfileExport, JsonAndCsvCarrySchemaAndRegions) {
   EXPECT_NE(CsvText.find("btree,hot,1,0,1,1,"), std::string::npos);
 }
 
-TEST(TraceExport, ShardTelemetryRoundTripsThroughDumpAndProfile) {
-  AttributionConfig Config;
-  std::FILE *F = std::tmpfile();
-  ASSERT_NE(F, nullptr);
-  TraceSink Trace(F, Config);
-
-  ReplayShardingEvent Parallel;
-  Parallel.Shards = 256;
-  Parallel.Groups = 16;
-  Parallel.Workers = 5;
-  Parallel.Records = 100000;
-  Parallel.MinShardRecords = 300;
-  Parallel.MaxShardRecords = 500;
-  Parallel.Parallel = true;
-  Trace.onReplaySharding(Parallel);
-
-  ReplayShardingEvent Serial;
-  Serial.Shards = 256;
-  Serial.Records = 2000;
-  Serial.Reason = "single-thread pool";
-  Trace.onReplaySharding(Serial);
-
-  std::rewind(F);
-  ReplayShardingSummary Summary;
-  uint64_t ShardLines = 0;
-  long Parsed = readTraceFile(F, [&](const TraceRecord &Record) {
-    if (Record.RecordKind != TraceRecord::Kind::Shard)
-      return;
-    ++ShardLines;
-    Summary.add(Record.Sharding);
-  });
-  std::fclose(F);
-  EXPECT_EQ(uint64_t(Parsed), Trace.linesWritten());
-  ASSERT_EQ(ShardLines, 2u);
-  EXPECT_EQ(Summary.Replays, 2u);
-  EXPECT_EQ(Summary.ParallelReplays, 1u);
-  EXPECT_EQ(Summary.Records, 102000u);
-  EXPECT_EQ(Summary.Shards, 256u);
-  EXPECT_EQ(Summary.Workers, 5u);
-  EXPECT_NEAR(Summary.MaxImbalance, 500.0 * 256 / 100000, 1e-9);
-  EXPECT_EQ(Summary.LastSerialReason, "single-thread pool");
-
-  // The summary rides along in the profile JSON — and only when it saw
-  // replays, so pre-sharding dumps keep producing byte-stable output.
-  RegionRegistry Registry;
-  AttributionSink Sink(Registry, Config);
-  Sink.finalize();
-  std::FILE *Json = std::tmpfile();
-  ASSERT_NE(Json, nullptr);
-  writeProfileJson(Sink, Json, &Summary);
-  std::string WithShards = slurp(Json);
-  std::fclose(Json);
-  EXPECT_NE(WithShards.find("\"replay_sharding\":{\"replays\":2"),
-            std::string::npos);
-  EXPECT_NE(WithShards.find("\"serial_reason\":\"single-thread pool\""),
-            std::string::npos);
-
-  ReplayShardingSummary Empty;
-  Json = std::tmpfile();
-  ASSERT_NE(Json, nullptr);
-  writeProfileJson(Sink, Json, &Empty);
-  std::string WithoutShards = slurp(Json);
-  std::fclose(Json);
-  EXPECT_EQ(WithoutShards.find("replay_sharding"), std::string::npos);
-}
-
 TEST(MultiObserver, FansOutInAttachOrder) {
   struct Counter final : SimObserver {
     unsigned Accesses = 0, Evicts = 0, Prefetches = 0;
@@ -553,6 +486,41 @@ TEST(MultiObserver, FansOutInAttachOrder) {
   EXPECT_EQ(B.Evicts, 1u);
   EXPECT_EQ(A.Prefetches, 1u);
   EXPECT_EQ(B.Prefetches, 1u);
+}
+
+TEST(TraceReader, RejectsSignedAndOverflowingNumbers) {
+  TraceRecord Record;
+  // A required unsigned field that is negative or out of range fails
+  // the line instead of wrapping to 2^64 - 1 or saturating.
+  EXPECT_FALSE(parseTraceLine("{\"kind\":\"region\",\"id\":-1}", Record));
+  EXPECT_FALSE(parseTraceLine(
+      "{\"kind\":\"region\",\"id\":18446744073709551616}", Record));
+  // An optional one is ignored, leaving its default.
+  ASSERT_TRUE(parseTraceLine(
+      "{\"kind\":\"a\",\"now\":-5,\"va\":99999999999999999999,"
+      "\"lvl\":\"l1\"}",
+      Record));
+  EXPECT_EQ(Record.Access.Now, 0u);
+  EXPECT_EQ(Record.Access.VAddr, 0u);
+  ASSERT_TRUE(parseTraceLine("{\"kind\":\"meta\",\"sample\":-16}", Record));
+  EXPECT_EQ(Record.SampleInterval, 1u);
+}
+
+TEST(FieldProfileReader, IgnoresSignedAndOverflowingNumbers) {
+  FieldsDoc Doc;
+  ASSERT_TRUE(parseFieldsLine(
+      "{\"kind\":\"meta\",\"attributed\":-7,"
+      "\"unattributed\":18446744073709551616}",
+      Doc));
+  EXPECT_EQ(Doc.Attributed, 0u);
+  EXPECT_EQ(Doc.Unattributed, 0u);
+  ASSERT_TRUE(parseFieldsLine(
+      "{\"kind\":\"type\",\"name\":\"T\",\"size\":-8,"
+      "\"accesses\":18446744073709551615}",
+      Doc));
+  ASSERT_EQ(Doc.Types.size(), 1u);
+  EXPECT_EQ(Doc.Types[0].Size, 0u);
+  EXPECT_EQ(Doc.Types[0].Accesses, ~uint64_t(0));
 }
 
 TEST(TraceReader, ParsesRecordsAndSkipsJunk) {

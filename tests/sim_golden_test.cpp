@@ -11,10 +11,11 @@
 // that hot-path optimizations (MRU fast paths, SoA tag arrays, flat maps,
 // O(1) TLB LRU) change nothing observable.
 //
-// Also asserts that a SweepRunner grid produces statistics identical to a
-// serial run of the same grid, that the batched readTrace() entry point
-// matches per-call read()/write(), and that a TraceBuffer recording
-// replayed through the trace engine reproduces the same goldens.
+// Also asserts that a SweepRunner grid — live cells and cells replaying
+// shared recordings — produces statistics identical to a serial run of
+// the same grid, that the batched readTrace() entry point matches
+// per-call read()/write(), and that a TraceBuffer recording replayed
+// through the trace engine reproduces the same goldens.
 //
 //===----------------------------------------------------------------------===//
 
@@ -438,31 +439,6 @@ TEST(SimGolden, RecordedReplayMatchesGolden) {
   }
 }
 
-TEST(SimGolden, ShardedReplayMatchesGolden) {
-  // The set-sharded parallel replay engine against the same seed
-  // goldens: splitting each recording into per-set-shard sub-streams
-  // and merging per-shard stats must land on every pinned number, with
-  // the prefetch traces (cycle-coupled across sets) taking the
-  // bit-identical serial fallback instead.
-  SweepRunner Pool(4);
-  for (const GoldenCase &Case : GoldenCases) {
-    TraceBuffer Buf = recordOps(traceByName(Case.Trace));
-    HierarchyConfig Config = presetByName(Case.Preset, Case.Trace);
-    TraceShardIndex Index(Buf.view(), Config, {}, Pool.threads());
-    MemoryHierarchy M(Config);
-    obs::ReplayShardingEvent Event = M.replayParallel(Index, Pool);
-    bool IsPrefetchTrace = std::string(Case.Trace) == "prefetch";
-    EXPECT_EQ(Event.Parallel, !IsPrefetchTrace)
-        << Case.Trace << "/" << Case.Preset << ": " << Event.Reason;
-    if (Event.Parallel) {
-      EXPECT_GT(Event.Shards, 1u);
-      EXPECT_EQ(Event.Records, M.stats().memoryReferences());
-    }
-    expectEqual(Case.Expected, collect(M),
-                std::string("sharded/") + Case.Trace + "/" + Case.Preset);
-  }
-}
-
 TEST(SimGolden, BatchedReadTraceMatchesPerCallPath) {
   // Read-only trace driven through read() one call at a time vs the
   // batched readTrace() entry point must be indistinguishable.
@@ -495,38 +471,88 @@ TEST(SimGolden, MixedSizeAccessesSpanBlocks) {
 }
 
 TEST(SweepRunner, GridMatchesSerialRun) {
-  // A (preset x trace) grid of independent simulations run through the
-  // thread pool must produce cell-for-cell identical statistics to a
-  // serial in-order run.
+  // A grid of independent simulations run through the thread pool must
+  // produce cell-for-cell identical statistics to a serial in-order run.
+  // Live cells drive each (trace x preset) pair call by call; replay
+  // cells follow the figure benches' record-once/replay-many pattern,
+  // all workers sharing one sealed recording per trace: fig5's cold
+  // prefixes via prefix(), and fig10's warmup/window pair through one
+  // bounded cursor.
+  enum class Mode { Live, ColdPrefix, WarmWindow };
   struct Cell {
-    const char *Trace;
+    size_t Trace; ///< Index into Names/Ops/Recordings.
     const char *Preset;
+    Mode How;
+    /// ColdPrefix: records replayed; WarmWindow: warmup records.
+    size_t Records;
   };
+  struct Outcome {
+    GoldenStats Stats;
+    /// Cycle count at the warmup/window boundary (WarmWindow only).
+    uint64_t WarmupNow = 0;
+  };
+
+  const std::vector<std::string> Names = {"pointer-chase", "strided",
+                                          "prefetch"};
+  std::vector<std::vector<TraceOp>> Ops;
+  std::vector<TraceBuffer> Recordings;
   std::vector<Cell> Grid;
-  for (const char *Trace : {"pointer-chase", "strided", "prefetch"})
-    for (const char *Preset : {"e5000", "rsim"})
-      Grid.push_back({Trace, Preset});
+  for (size_t T = 0; T < Names.size(); ++T) {
+    Ops.push_back(traceByName(Names[T]));
+    Recordings.push_back(recordOps(Ops.back()));
+    size_t N = Recordings.back().records();
+    for (const char *Preset : {"e5000", "rsim"}) {
+      Grid.push_back({T, Preset, Mode::Live, 0});
+      for (size_t Prefix : {N / 10, N / 2, N})
+        Grid.push_back({T, Preset, Mode::ColdPrefix, Prefix});
+      Grid.push_back({T, Preset, Mode::WarmWindow, N / 4});
+    }
+  }
 
   auto RunCell = [&](size_t I) {
-    MemoryHierarchy M(presetByName(Grid[I].Preset, Grid[I].Trace));
-    replay(M, traceByName(Grid[I].Trace));
-    return collect(M);
+    const Cell &C = Grid[I];
+    const TraceBuffer &Buf = Recordings[C.Trace];
+    MemoryHierarchy M(presetByName(C.Preset, Names[C.Trace]));
+    Outcome Out;
+    switch (C.How) {
+    case Mode::Live:
+      replay(M, Ops[C.Trace]);
+      break;
+    case Mode::ColdPrefix:
+      M.replay(Buf.prefix(C.Records));
+      break;
+    case Mode::WarmWindow: {
+      TraceCursor Cursor(Buf.view());
+      M.replay(Cursor, C.Records);
+      Out.WarmupNow = M.now();
+      M.replay(Cursor, Buf.records() - C.Records);
+      EXPECT_TRUE(Cursor.done());
+      break;
+    }
+    }
+    Out.Stats = collect(M);
+    return Out;
   };
 
-  std::vector<GoldenStats> Serial(Grid.size());
+  std::vector<Outcome> Serial(Grid.size());
   SweepRunner SerialRunner(1);
   SerialRunner.run(Grid.size(),
                    [&](size_t I) { Serial[I] = RunCell(I); });
 
-  std::vector<GoldenStats> Parallel(Grid.size());
+  std::vector<Outcome> Parallel(Grid.size());
   SweepRunner ParallelRunner(4);
   EXPECT_EQ(ParallelRunner.threads(), 4u);
   ParallelRunner.run(Grid.size(),
                      [&](size_t I) { Parallel[I] = RunCell(I); });
 
-  for (size_t I = 0; I < Grid.size(); ++I)
-    expectEqual(Serial[I], Parallel[I],
-                std::string(Grid[I].Trace) + "/" + Grid[I].Preset);
+  for (size_t I = 0; I < Grid.size(); ++I) {
+    const Cell &C = Grid[I];
+    std::string Label = Names[C.Trace] + "/" + C.Preset + "/mode" +
+                        std::to_string(int(C.How)) + "/" +
+                        std::to_string(C.Records);
+    expectEqual(Serial[I].Stats, Parallel[I].Stats, Label);
+    EXPECT_EQ(Serial[I].WarmupNow, Parallel[I].WarmupNow) << Label;
+  }
 }
 
 TEST(SweepRunner, RunsEveryCellExactlyOnce) {
@@ -538,38 +564,6 @@ TEST(SweepRunner, RunsEveryCellExactlyOnce) {
   });
   for (size_t I = 0; I < Cells; ++I)
     EXPECT_EQ(Counts[I].load(), 1u) << "cell " << I;
-}
-
-TEST(SweepRunner, ChunkedRunsEveryCellExactlyOnce) {
-  // Chunked self-scheduling must still be an exact cover of the grid,
-  // including chunk sizes that do not divide the cell count.
-  for (size_t Chunk : {1, 3, 7, 64, 1000, 5000}) {
-    constexpr size_t Cells = 1000;
-    std::vector<std::atomic<uint32_t>> Counts(Cells);
-    SweepRunner Runner(8);
-    Runner.run(
-        Cells,
-        [&](size_t I) { Counts[I].fetch_add(1, std::memory_order_relaxed); },
-        Chunk);
-    for (size_t I = 0; I < Cells; ++I)
-      ASSERT_EQ(Counts[I].load(), 1u) << "chunk " << Chunk << " cell " << I;
-  }
-}
-
-TEST(SweepRunner, InWorkerGuardsNestedParallelism) {
-  // Cells observe inWorker() == true (on both the serial and the pooled
-  // path); outside a run the flag is clear again.
-  EXPECT_FALSE(SweepRunner::inWorker());
-  for (unsigned Threads : {1u, 4u}) {
-    SweepRunner Runner(Threads);
-    std::atomic<uint32_t> InsideCount{0};
-    Runner.run(16, [&](size_t) {
-      if (SweepRunner::inWorker())
-        InsideCount.fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(InsideCount.load(), 16u) << Threads << " threads";
-  }
-  EXPECT_FALSE(SweepRunner::inWorker());
 }
 
 TEST(SweepRunner, PropagatesExceptions) {
@@ -587,81 +581,4 @@ TEST(SweepRunner, ZeroCellsIsANoop) {
   bool Ran = false;
   Runner.run(0, [&](size_t) { Ran = true; });
   EXPECT_FALSE(Ran);
-}
-
-TEST(SweepRunner, RunPhasesCoversBothPhasesExactlyOnce) {
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    constexpr size_t Cells1 = 100, Cells2 = 333;
-    std::vector<std::atomic<uint32_t>> A(Cells1), B(Cells2);
-    SweepRunner Runner(Threads);
-    Runner.runPhases(
-        Cells1,
-        [&](size_t I) { A[I].fetch_add(1, std::memory_order_relaxed); },
-        Cells2,
-        [&](size_t I) { B[I].fetch_add(1, std::memory_order_relaxed); });
-    for (size_t I = 0; I < Cells1; ++I)
-      ASSERT_EQ(A[I].load(), 1u) << Threads << " threads, phase-1 cell " << I;
-    for (size_t I = 0; I < Cells2; ++I)
-      ASSERT_EQ(B[I].load(), 1u) << Threads << " threads, phase-2 cell " << I;
-  }
-}
-
-TEST(SweepRunner, RunPhasesBarrierOrdersPhases) {
-  // Every phase-2 cell must observe every phase-1 write: the internal
-  // barrier makes runPhases equivalent to two back-to-back run() calls.
-  for (unsigned Threads : {2u, 4u, 8u}) {
-    constexpr size_t Cells = 256;
-    std::vector<uint32_t> Values(Cells, 0); // Plain writes: the barrier
-                                            // is the synchronization.
-    std::atomic<uint32_t> Violations{0};
-    SweepRunner Runner(Threads);
-    Runner.runPhases(
-        Cells, [&](size_t I) { Values[I] = uint32_t(I) + 1; }, Cells,
-        [&](size_t I) {
-          // Read a scattered other cell, not just our own.
-          size_t Other = (I * 97 + 13) % Cells;
-          if (Values[Other] != uint32_t(Other) + 1)
-            Violations.fetch_add(1, std::memory_order_relaxed);
-        });
-    EXPECT_EQ(Violations.load(), 0u) << Threads << " threads";
-  }
-}
-
-TEST(SweepRunner, RunPhasesUnevenPhaseSizes) {
-  // More workers than phase-1 cells: idle workers must still arrive at
-  // the barrier (no deadlock) and help with the larger phase 2.
-  std::atomic<uint32_t> Phase1{0}, Phase2{0};
-  SweepRunner Runner(8);
-  Runner.runPhases(
-      2, [&](size_t) { Phase1.fetch_add(1, std::memory_order_relaxed); },
-      500, [&](size_t) { Phase2.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(Phase1.load(), 2u);
-  EXPECT_EQ(Phase2.load(), 500u);
-
-  // And an empty phase on either side.
-  Phase1 = 0;
-  Runner.runPhases(
-      0, [&](size_t) { Phase1.fetch_add(1, std::memory_order_relaxed); },
-      100, [&](size_t) { Phase2.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(Phase1.load(), 0u);
-  EXPECT_EQ(Phase2.load(), 600u);
-}
-
-TEST(SweepRunner, RunPhasesPropagatesExceptions) {
-  SweepRunner Runner(4);
-  EXPECT_THROW(Runner.runPhases(
-                   100,
-                   [](size_t I) {
-                     if (I == 42)
-                       throw std::runtime_error("phase-1 cell failed");
-                   },
-                   100, [](size_t) {}),
-               std::runtime_error);
-  EXPECT_THROW(Runner.runPhases(100, [](size_t) {}, 100,
-                                [](size_t I) {
-                                  if (I == 7)
-                                    throw std::runtime_error(
-                                        "phase-2 cell failed");
-                                }),
-               std::runtime_error);
 }

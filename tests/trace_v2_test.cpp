@@ -6,20 +6,17 @@
 //
 // The ccl-trace v2 contract: the blocked control/data-lane encoding
 // stores exactly the same record stream as v1, every decode kernel
-// (scalar, SSSE3, AVX2) produces identical payloads, mid-block resume
-// positions continue the stream exactly, and replay results — serial or
-// sharded, at any worker count — are bit-identical to a v1 replay of
-// the same recording. This suite locks each of those properties down
-// with randomized streams and adversarial block-boundary lengths.
+// (scalar, SSSE3, AVX2) produces identical payloads, and replay results
+// — whole, prefix, or phased — are bit-identical to a v1 replay of the
+// same recording. This suite locks each of those properties down with
+// randomized streams and adversarial block-boundary lengths.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sim/MemoryHierarchy.h"
 #include "sim/TraceBuffer.h"
-#include "sim/TraceShardIndex.h"
 #include "sim/TraceSimd.h"
 #include "support/SimdDispatch.h"
-#include "support/SweepRunner.h"
 
 #include <gtest/gtest.h>
 
@@ -249,7 +246,6 @@ TEST(TraceV2, DecodesIdenticallyToV1) {
       EXPECT_EQ(A.K, B.K);
       EXPECT_EQ(A.Addr, B.Addr);
       EXPECT_EQ(A.Arg, B.Arg);
-      EXPECT_EQ(C1.chainAddr(), C2.chainAddr());
     }
     EXPECT_FALSE(C2.next(B));
   }
@@ -333,46 +329,6 @@ TEST(TraceSimdKernels, EnvNameRoundTrip) {
   EXPECT_LE(uint8_t(simdLevel()), uint8_t(simdDetect()));
 }
 
-//===----------------------------------------------------------------------===//
-// Mid-block resume: the shard-cut mechanism.
-//===----------------------------------------------------------------------===//
-
-TEST(TraceV2, ResumeContinuesExactlyAtAnyCut) {
-  // Decode K records, capture resume(), and check a resumed cursor
-  // replays the remainder identically — for cuts at block boundaries,
-  // mid-block, and just before/after explicit-size records.
-  std::vector<RawRecord> Stream = randomStream(0x5EED, 400);
-  TraceBuffer Buf(TraceEncoding::V2);
-  for (const RawRecord &R : Stream)
-    record(Buf, R);
-  Buf.seal();
-  TraceView View = Buf.view();
-
-  for (size_t Cut : {size_t(0), size_t(1), size_t(37), size_t(63),
-                     size_t(64), size_t(65), size_t(100), size_t(200),
-                     size_t(399), size_t(400)}) {
-    SCOPED_TRACE("cut " + std::to_string(Cut));
-    TraceCursor Cursor(View);
-    TraceRecord Out;
-    for (size_t I = 0; I < Cut; ++I)
-      ASSERT_TRUE(Cursor.next(Out));
-    TraceResume R = Cursor.resume(View.Data);
-
-    TraceCursor Resumed(View, R, Stream.size() - Cut);
-    EXPECT_EQ(Resumed.chainAddr(), Cursor.chainAddr());
-    for (size_t I = Cut; I < Stream.size(); ++I) {
-      SCOPED_TRACE("record " + std::to_string(I));
-      ASSERT_TRUE(Resumed.next(Out));
-      EXPECT_EQ(Out.K, Stream[I].K);
-      if (Stream[I].K != TraceRecord::Kind::Tick) {
-        EXPECT_EQ(Out.Addr, Stream[I].Addr);
-      }
-      EXPECT_EQ(Out.Arg, Stream[I].Arg);
-    }
-    EXPECT_TRUE(Resumed.done());
-  }
-}
-
 TEST(TraceV2, BatchDecodeMatchesSingleStepping) {
   // nextBatch must produce the same stream as next(), and a v2 batch
   // never crosses a block boundary (so pipelined replay batches align
@@ -411,8 +367,7 @@ TEST(TraceV2, BatchDecodeMatchesSingleStepping) {
 
 namespace {
 
-/// Every externally observable number a hierarchy exposes (the
-/// shard_replay_test snapshot).
+/// Every externally observable number a hierarchy exposes.
 using Snapshot = std::array<uint64_t, 24>;
 
 Snapshot snap(const MemoryHierarchy &M) {
@@ -438,8 +393,8 @@ void expectSame(const Snapshot &A, const Snapshot &B,
     EXPECT_EQ(A[I], B[I]) << "counter " << I;
 }
 
-/// A mixed simulation trace recorded into \p Enc (the shard_replay_test
-/// generator, parameterized by encoding).
+/// A mixed simulation trace recorded into \p Enc: ticks, pointer-chase
+/// and random reads/writes of assorted (also block-spanning) sizes.
 TraceBuffer mixedTrace(TraceEncoding Enc, uint64_t Seed, size_t Records) {
   TraceBuffer Buf(Enc);
   Lcg Rng(Seed);
@@ -515,41 +470,4 @@ TEST(TraceV2Replay, PrefixAndPhasedReplaysMatchV1) {
   while (!CursorB.done())
     B.replay(CursorB, 4096);
   expectSame(snap(A), snap(B), "phased tail");
-}
-
-TEST(TraceV2Replay, ShardedParityAcrossWorkerCounts) {
-  // The acceptance bar: sharded v2 replay produces byte-identical stats
-  // to a serial v1 replay of the same stream, at every worker count.
-  TraceBuffer V1 = mixedTrace(TraceEncoding::V1, 0x51AB5, 100000);
-  TraceBuffer V2 = mixedTrace(TraceEncoding::V2, 0x51AB5, 100000);
-  HierarchyConfig Config = HierarchyConfig::ultraSparcE5000();
-
-  MemoryHierarchy Reference(Config);
-  Reference.replay(V1.view());
-  Snapshot Want = snap(Reference);
-
-  unsigned ParallelRuns = 0;
-  for (unsigned Workers : {1u, 2u, 4u, 8u}) {
-    SweepRunner Pool(Workers);
-    TraceShardIndex Index(V2.view(), Config, {}, Workers);
-    MemoryHierarchy M(Config);
-    obs::ReplayShardingEvent Event = M.replayParallel(Index, Pool);
-    ParallelRuns += Event.Parallel;
-    expectSame(Want, snap(M),
-               "workers " + std::to_string(Workers) +
-                   (Event.Parallel ? " (parallel)" : " (serial)"));
-  }
-  // Multi-worker runs must actually take the sharded path (the index
-  // shards both presets; only Workers=1 declines).
-  EXPECT_GE(ParallelRuns, 3u);
-
-  // And the index's own cut cursors (the mid-block resume path) cover
-  // phased spans exactly.
-  TraceShardIndex Phased(V2.view(), Config,
-                         {V2.records() / 4, V2.records() / 2}, 4);
-  SweepRunner Pool(4);
-  MemoryHierarchy M(Config);
-  for (size_t Cut = 1; Cut < Phased.numCuts(); ++Cut)
-    M.replayParallel(Phased, Cut - 1, Cut, Pool);
-  expectSame(Want, snap(M), "phased cuts");
 }

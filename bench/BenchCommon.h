@@ -19,8 +19,10 @@
 #define CCL_BENCH_BENCHCOMMON_H
 
 #include "support/BuildInfo.h"
+#include "support/Json.h"
 #include "support/TablePrinter.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -126,6 +128,11 @@ public:
   }
 
   void num(const std::string &Key, double Value) {
+    // JSON has no NaN or infinity: a degenerate ratio is written as null.
+    if (!std::isfinite(Value)) {
+      addField(Key, "null");
+      return;
+    }
     char Buffer[64];
     std::snprintf(Buffer, sizeof(Buffer), "%.17g", Value);
     addField(Key, Buffer);
@@ -139,7 +146,7 @@ public:
   }
 
   void str(const std::string &Key, const std::string &Value) {
-    addField(Key, "\"" + escape(Value) + "\"");
+    addField(Key, "\"" + json::escape(Value) + "\"");
   }
 
   /// Writes the document to \p Path ("-" = stdout). Returns false (with
@@ -155,7 +162,7 @@ public:
     std::fprintf(Out, "{\"schema\":\"ccl-bench-v1\",\"bench\":\"%s\","
                       "\"full\":%s,\"build_type\":\"%s\",\"simd\":\"%s\","
                       "\"results\":[",
-                 escape(Bench).c_str(), Full ? "true" : "false",
+                 json::escape(Bench).c_str(), Full ? "true" : "false",
                  buildType(), ccl::simdKernel());
     for (size_t R = 0; R < Results.size(); ++R) {
       std::fprintf(Out, "%s{", R == 0 ? "" : ",");
@@ -181,27 +188,10 @@ public:
   }
 
 private:
-  static std::string escape(const std::string &Raw) {
-    std::string Out;
-    Out.reserve(Raw.size());
-    for (char C : Raw) {
-      if (C == '"' || C == '\\')
-        Out += '\\';
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buffer[8];
-        std::snprintf(Buffer, sizeof(Buffer), "\\u%04x", C);
-        Out += Buffer;
-        continue;
-      }
-      Out += C;
-    }
-    return Out;
-  }
-
   void addField(const std::string &Key, const std::string &Rendered) {
     if (Results.empty())
       Results.emplace_back();
-    Results.back().push_back("\"" + escape(Key) + "\":" + Rendered);
+    Results.back().push_back("\"" + json::escape(Key) + "\":" + Rendered);
   }
 
   std::string Bench;

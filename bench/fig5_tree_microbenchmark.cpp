@@ -358,7 +358,7 @@ int main(int Argc, char **Argv) {
 
   //===------------------------------------------------------------------===//
   // Telemetry: --profile renders a per-structure attribution report;
-  // --trace <path> additionally streams the events as a ccl-trace-v1
+  // --trace <path> additionally streams the events as a ccl-trace-v2
   // JSONL dump (render it later with tools/cclstat).
   //===------------------------------------------------------------------===//
   std::string TracePath = bench::flagValue(Argc, Argv, "--trace");

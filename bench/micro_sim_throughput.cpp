@@ -143,15 +143,13 @@ void SimPointerChaseReplay(benchmark::State &State) {
 
 // Pure decode throughput: stream the recorded pointer chase through a
 // TraceCursor and discard the records — no cache probes — so codec wins
-// are measured separately from probe wins. Arg selects the wire format:
-// 1 = v1 (per-record varints, scalar by construction), 2 = v2 (blocked
-// control/data lanes through the selected shuffle kernel; CCL_SIMD=off
-// measures the scalar fallback). The label stamps encoding + kernel.
+// are measured separately from probe wins. Blocks decode through the
+// selected shuffle kernel (CCL_SIMD=off measures the scalar fallback);
+// the label stamps the kernel.
 void SimTraceDecodeOnly(benchmark::State &State) {
-  const bool V1 = State.range(0) == 1;
   const std::vector<uint64_t> Addrs =
       makeTrace(TraceKind::PointerChase, 1 << 20);
-  TraceBuffer Buf(V1 ? TraceEncoding::V1 : TraceEncoding::V2);
+  TraceBuffer Buf;
   for (uint64_t Addr : Addrs)
     Buf.recordRead(Addr, 8);
   Buf.seal();
@@ -167,10 +165,7 @@ void SimTraceDecodeOnly(benchmark::State &State) {
   }
   State.SetItemsProcessed(int64_t(State.iterations()) *
                           int64_t(Buf.records()));
-  char Label[64];
-  std::snprintf(Label, sizeof(Label), "%s %s", V1 ? "v1" : "v2",
-                V1 ? "scalar" : ccl::simdLevelName());
-  State.SetLabel(Label);
+  State.SetLabel(ccl::simdLevelName());
 }
 
 void SimStreaming(benchmark::State &State) {
@@ -211,7 +206,7 @@ void SimPointerChaseObserved(benchmark::State &State) {
 BENCHMARK(SimPointerChase)->Arg(0)->Arg(1);
 BENCHMARK(SimPointerChaseBatch)->Arg(0)->Arg(1);
 BENCHMARK(SimPointerChaseReplay)->Arg(0)->Arg(1);
-BENCHMARK(SimTraceDecodeOnly)->Arg(1)->Arg(2);
+BENCHMARK(SimTraceDecodeOnly);
 BENCHMARK(SimStreaming)->Arg(0)->Arg(1);
 BENCHMARK(SimRandom)->Arg(0)->Arg(1);
 BENCHMARK(SimPointerChaseObserved)->Arg(0)->Arg(1);

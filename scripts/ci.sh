@@ -97,9 +97,11 @@ if [[ "${CCL_BENCH_ARTIFACTS:-0}" == "1" ]]; then
   # Figure benches also dump their runtime-metrics registries
   # (ccl-metrics-v1) next to the bench JSON; fig5 additionally runs
   # --hw so the artifact records hardware-counter availability (and,
-  # on perf-capable runners, the paired sim/hw miss counts).
+  # on perf-capable runners, the paired sim/hw miss counts), and
+  # writes a 1-in-256 sampled ccl-trace dump of its profile run.
   build-bench/bench/fig5_tree_microbenchmark --hw \
-    --out "$ART/BENCH_fig5.json" --metrics "$ART/METRICS_fig5.jsonl"
+    --out "$ART/BENCH_fig5.json" --metrics "$ART/METRICS_fig5.jsonl" \
+    --trace "$ART/TRACE_fig5.jsonl" --trace-sample 256
   build-bench/bench/fig6_macrobenchmarks --out "$ART/BENCH_fig6.json" \
     --metrics "$ART/METRICS_fig6.jsonl"
   build-bench/bench/fig7_olden --out "$ART/BENCH_fig7.json" \
@@ -124,13 +126,17 @@ if [[ "${CCL_BENCH_ARTIFACTS:-0}" == "1" ]]; then
     --json "$ART/LINT_report.json" > /dev/null
   build-bench/tools/cclstat --quiet "$ART/FIELDS_profile.jsonl" > /dev/null
 
-  # Smoke the offline renderers over the artifacts they consume: the
-  # metrics dump must round-trip through cclstat (text + summary JSON)
-  # and the --hw bench document must render a divergence report.
-  echo "=== cclstat smoke over metrics artifacts ==="
+  # Smoke the offline renderers over the artifacts they consume. The
+  # readers are strict, so each run fails on the first malformed line:
+  # the metrics dump must round-trip through cclstat (text + summary
+  # JSON), the sampled trace dump must rebuild a profile, and the --hw
+  # bench document must render a divergence report.
+  echo "=== cclstat smoke over metrics, trace and bench artifacts ==="
   build-bench/tools/cclstat --quiet --json - "$ART/METRICS_fig5.jsonl" \
     > /dev/null
   build-bench/tools/cclstat "$ART/METRICS_fig5.jsonl" > /dev/null
+  build-bench/tools/cclstat --quiet --json "$ART/PROFILE_fig5.json" \
+    "$ART/TRACE_fig5.jsonl"
   build-bench/tools/cclstat --bench "$ART/BENCH_fig5.json" > /dev/null
 
   # Regression gate: diff the fresh micro-bench numbers against the

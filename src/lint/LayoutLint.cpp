@@ -6,9 +6,9 @@
 
 #include "lint/LayoutLint.h"
 
-#include "obs/Export.h"
 #include "sim/MemoryHierarchy.h"
 #include "support/BuildInfo.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cctype>
@@ -52,6 +52,16 @@ TypeProfileView::counters(const std::string &Name) const {
   return nullptr;
 }
 
+void TypeProfileView::add(const std::string &Name,
+                          const obs::FieldCounters &C) {
+  for (auto &[FieldName, Sum] : Fields)
+    if (FieldName == Name) {
+      Sum += C;
+      return;
+    }
+  Fields.emplace_back(Name, C);
+}
+
 uint64_t TypeProfileView::visits() const {
   uint64_t Max = 0;
   for (const auto &[Name, C] : Fields)
@@ -73,17 +83,8 @@ void ProfileData::addFromSink(const obs::FieldProfileSink &Sink) {
     const TypeDesc &Desc = Registry.type(P->TypeId);
     TypeProfileView &View = slot(Desc.Name);
     View.Accesses += P->Accesses;
-    for (size_t I = 0; I < Desc.Fields.size(); ++I) {
-      bool Found = false;
-      for (auto &[Name, C] : View.Fields)
-        if (Name == Desc.Fields[I].Name) {
-          C += P->Fields[I];
-          Found = true;
-          break;
-        }
-      if (!Found)
-        View.Fields.emplace_back(Desc.Fields[I].Name, P->Fields[I]);
-    }
+    for (size_t I = 0; I < Desc.Fields.size(); ++I)
+      View.add(Desc.Fields[I].Name, P->Fields[I]);
   }
 }
 
@@ -91,17 +92,8 @@ void ProfileData::addFromDoc(const obs::FieldsDoc &Doc) {
   for (const obs::FieldsTypeDoc &T : Doc.Types) {
     TypeProfileView &View = slot(T.Name);
     View.Accesses += T.Accesses;
-    for (const obs::FieldsFieldDoc &F : T.Fields) {
-      bool Found = false;
-      for (auto &[Name, C] : View.Fields)
-        if (Name == F.Name) {
-          C += F.Counters;
-          Found = true;
-          break;
-        }
-      if (!Found)
-        View.Fields.emplace_back(F.Name, F.Counters);
-    }
+    for (const obs::FieldsFieldDoc &F : T.Fields)
+      View.add(F.Name, F.Counters);
   }
 }
 
@@ -848,13 +840,12 @@ void ccl::lint::renderText(const LintReport &Report, std::FILE *Out) {
 }
 
 void ccl::lint::renderJson(const LintReport &Report, std::FILE *Out) {
-  using obs::jsonEscape;
   std::fprintf(Out,
                "{\"schema\":\"ccl-lint-v1\",\"binary\":\"%s\","
                "\"git\":\"%s\",\"types_analyzed\":%zu,"
                "\"types_profiled\":%zu,\"errors\":%zu,\"diags\":[",
-               jsonEscape(ccl::binaryName()).c_str(),
-               jsonEscape(ccl::gitDescribe()).c_str(),
+               json::escape(ccl::binaryName()).c_str(),
+               json::escape(ccl::gitDescribe()).c_str(),
                Report.TypesAnalyzed, Report.TypesProfiled, Report.Errors);
   bool FirstDiag = true;
   for (const Diagnostic &D : Report.Diags) {
@@ -864,10 +855,10 @@ void ccl::lint::renderJson(const LintReport &Report, std::FILE *Out) {
                       "\"wasted_bytes\":%u,\"fraction\":%.4f,"
                       "\"message\":\"%s\"",
                  FirstDiag ? "" : ",", diagKindName(D.Kind),
-                 jsonEscape(D.TypeName).c_str(),
-                 jsonEscape(D.Module).c_str(), jsonEscape(D.Field).c_str(),
+                 json::escape(D.TypeName).c_str(),
+                 json::escape(D.Module).c_str(), json::escape(D.Field).c_str(),
                  D.Error ? "true" : "false", D.Severity, D.LineSize,
-                 D.WastedBytes, D.Fraction, jsonEscape(D.Message).c_str());
+                 D.WastedBytes, D.Fraction, json::escape(D.Message).c_str());
     FirstDiag = false;
     if (D.HasPlan) {
       const LayoutPlan &P = D.Plan;
@@ -892,7 +883,7 @@ void ccl::lint::renderJson(const LintReport &Report, std::FILE *Out) {
                      "%s{\"name\":\"%s\",\"old_off\":%u,\"new_off\":%u,"
                      "\"size\":%u,\"hot\":%s,\"cold_ptr\":%s,"
                      "\"in_cold\":%s}",
-                     FirstField ? "" : ",", jsonEscape(F.Name).c_str(),
+                     FirstField ? "" : ",", json::escape(F.Name).c_str(),
                      F.OldOffset, F.NewOffset, F.Size,
                      F.Hot ? "true" : "false", F.IsColdPtr ? "true" : "false",
                      F.InColdStruct ? "true" : "false");

@@ -148,6 +148,8 @@ struct TypeProfileView {
   std::vector<std::pair<std::string, obs::FieldCounters>> Fields;
 
   const obs::FieldCounters *counters(const std::string &Name) const;
+  /// Adds \p C to field \p Name's counters, appending the field if new.
+  void add(const std::string &Name, const obs::FieldCounters &C);
   /// Largest per-field reference count — the per-visit normalizer.
   uint64_t visits() const;
 };

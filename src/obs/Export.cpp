@@ -16,48 +16,12 @@
 
 using namespace ccl;
 using namespace ccl::obs;
-
-std::string ccl::obs::jsonEscape(const std::string &Raw) {
-  std::string Out;
-  Out.reserve(Raw.size());
-  for (char C : Raw) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buffer[8];
-        std::snprintf(Buffer, sizeof(Buffer), "\\u%04x", C);
-        Out += Buffer;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
+using json::Presence;
 
 TraceSink::TraceSink(std::FILE *Out, const AttributionConfig &Config,
                      const RegionRegistry *Registry,
                      const TraceSinkOptions &Options)
     : Out(Out), Config(Config), Registry(Registry), Options(Options) {
-  // v2 meta adds the codec fields ("simd" kernel, "trace_block"
-  // records per v2 block); every event line is unchanged from v1 and
-  // readers never gate on the schema string, so v1 dumps still parse
-  // and v1 readers skip the new fields.
   std::fprintf(Out,
                "{\"kind\":\"meta\",\"schema\":\"ccl-trace-v2\","
                "\"l1_block\":%" PRIu32 ",\"l1_sets\":%" PRIu64
@@ -69,8 +33,8 @@ TraceSink::TraceSink(std::FILE *Out, const AttributionConfig &Config,
                Config.L2Sets, Config.HotSets,
                Options.SampleInterval ? Options.SampleInterval : 1,
                simdKernel(), ccl::sim::TraceBlockCap,
-               jsonEscape(binaryName()).c_str(),
-               jsonEscape(gitDescribe()).c_str());
+               json::escape(binaryName()).c_str(),
+               json::escape(gitDescribe()).c_str());
   ++Lines;
 }
 
@@ -86,8 +50,8 @@ void TraceSink::emitRegionIfNew(uint32_t Id) {
   std::fprintf(Out,
                "{\"kind\":\"region\",\"id\":%" PRIu32
                ",\"name\":\"%s\",\"color\":\"%s\"}\n",
-               Id, jsonEscape(Info.Name).c_str(),
-               jsonEscape(Info.ColorClass).c_str());
+               Id, json::escape(Info.Name).c_str(),
+               json::escape(Info.ColorClass).c_str());
   ++Lines;
 }
 
@@ -139,6 +103,15 @@ void TraceSink::onPrefetch(const PrefetchEvent &Event) {
 
 namespace {
 
+bool parseLevel(const std::string &Name, AccessLevel &Out) {
+  for (uint8_t L = 0; L <= uint8_t(AccessLevel::PrefetchPartial); ++L)
+    if (Name == accessLevelName(AccessLevel(L))) {
+      Out = AccessLevel(L);
+      return true;
+    }
+  return false;
+}
+
 void writeRegionJson(std::FILE *Out, const RegionInfo &Info,
                      const RegionProfile &P) {
   std::fprintf(
@@ -152,7 +125,7 @@ void writeRegionJson(std::FILE *Out, const RegionInfo &Info,
       ",\"bytes_fetched\":%" PRIu64 ",\"bytes_used\":%" PRIu64
       ",\"blocks_evicted\":%" PRIu64 ",\"writebacks\":%" PRIu64
       ",\"block_utilization\":%.6f}",
-      jsonEscape(Info.Name).c_str(), jsonEscape(Info.ColorClass).c_str(),
+      json::escape(Info.Name).c_str(), json::escape(Info.ColorClass).c_str(),
       P.Reads, P.Writes, P.L1Hits, P.L1Misses, P.L2Hits, P.L2Misses,
       P.TlbMisses, P.PrefetchFullHits, P.PrefetchPartialHits, P.Cycles,
       P.BytesAccessed, P.BlocksFetched, P.BytesFetched, P.BytesUsed,
@@ -202,8 +175,8 @@ void ccl::obs::writeProfileJson(const AttributionSink &Sink, std::FILE *Out,
 
   if (Codec && Codec->any()) {
     std::fprintf(Out, ",\"trace_codec\":{\"schema\":\"%s\",\"simd\":\"%s\"",
-                 jsonEscape(Codec->Schema).c_str(),
-                 jsonEscape(Codec->Simd).c_str());
+                 json::escape(Codec->Schema).c_str(),
+                 json::escape(Codec->Simd).c_str());
     if (Codec->TraceBlock != 0)
       std::fprintf(Out, ",\"trace_block\":%" PRIu64, Codec->TraceBlock);
     std::fprintf(Out, "}");
@@ -229,4 +202,67 @@ void ccl::obs::writeProfileCsv(const AttributionSink &Sink, std::FILE *Out) {
                   TablePrinter::fmt(P.blockUtilization(), 6)});
   }
   Table.printCsv(Out);
+}
+
+json::LineResult ccl::obs::parseTraceLine(const std::string &Line,
+                                          TraceRecord &Out) {
+  json::Value Obj;
+  if (json::LineResult R = json::parseObjectLine(Line, Obj); !R)
+    return R;
+  json::FieldReader F(Obj);
+  std::string Kind;
+  F.str("kind", Kind, Presence::Required);
+  Out = TraceRecord();
+
+  if (Kind == "meta") {
+    Out.RecordKind = TraceRecord::Kind::Meta;
+    F.uint("l1_block", Out.Config.L1BlockBytes);
+    F.uint("l1_sets", Out.Config.L1Sets);
+    F.uint("l2_block", Out.Config.L2BlockBytes);
+    F.uint("l2_sets", Out.Config.L2Sets);
+    F.uint("hot_sets", Out.Config.HotSets);
+    F.uint("sample", Out.SampleInterval);
+    F.str("binary", Out.Producer);
+    F.str("git", Out.ProducerGit);
+    F.str("schema", Out.Codec.Schema);
+    F.str("simd", Out.Codec.Simd);
+    F.uint("trace_block", Out.Codec.TraceBlock);
+  } else if (Kind == "region") {
+    Out.RecordKind = TraceRecord::Kind::Region;
+    F.uint("id", Out.RegionId, Presence::Required);
+    F.str("name", Out.Region.Name);
+    F.str("color", Out.Region.ColorClass);
+  } else if (Kind == "a") {
+    Out.RecordKind = TraceRecord::Kind::Access;
+    AccessEvent &E = Out.Access;
+    F.uint("now", E.Now);
+    F.uint("va", E.VAddr);
+    F.uint("pa", E.Mapped);
+    F.uint("sz", E.Size);
+    F.flag("w", E.IsWrite);
+    F.flag("tlb", E.TlbMiss);
+    F.uint("cyc", E.Cycles);
+    std::string Level;
+    if (F.str("lvl", Level, Presence::Required) &&
+        !parseLevel(Level, E.Level))
+      F.fail("lvl", "unknown level \"" + Level + "\"");
+    F.uint("r", Out.RegionId);
+  } else if (Kind == "e") {
+    Out.RecordKind = TraceRecord::Kind::Evict;
+    EvictEvent &E = Out.Evict;
+    F.uint("now", E.Now);
+    F.uint("lvl", E.Level);
+    F.uint("pa", E.MappedBlockAddr);
+    F.flag("wb", E.Writeback);
+  } else if (Kind == "p") {
+    Out.RecordKind = TraceRecord::Kind::Prefetch;
+    PrefetchEvent &E = Out.Prefetch;
+    F.uint("now", E.Now);
+    F.uint("va", E.VAddr);
+    F.uint("pa", E.Mapped);
+    F.flag("sw", E.Software);
+  } else if (F.result()) {
+    return json::LineResult::skip(); // unknown kind
+  }
+  return F.result();
 }

@@ -11,9 +11,10 @@
 ///    (one JSON object per line), with optional 1-in-N sampling of
 ///    access events. tools/cclstat reconstructs a full profile report
 ///    from such a dump, or converts it to Chrome trace format.
+///  * parseTraceLine — reads such a dump back, one line at a time,
+///    through the shared strict reader (support/Json.h).
 ///  * writeProfileJson / writeProfileCsv — summary exporters for an
 ///    AttributionSink (the CSV path reuses TablePrinter's CSV mode).
-///  * jsonEscape — the one string-escaping routine everything shares.
 ///
 /// Trace schema (ccl-trace-v2; v1 dumps differ only in the meta line),
 /// one object per line:
@@ -26,11 +27,9 @@
 ///   {"kind":"e","now":..,"lvl":2,"pa":..,"wb":1}
 ///   {"kind":"p","now":..,"va":..,"pa":..,"sw":1}
 ///
-/// Readers skip unknown kinds and fields, so additions stay compatible
-/// both ways. The v2 meta fields ("simd" = selected decode kernel,
-/// "trace_block" = records per blocked-codec block) follow that rule:
-/// readers never gate on the schema string, so v1 dumps keep parsing
-/// and v1 readers skip the additions.
+/// The v2 meta fields ("simd" = selected decode kernel, "trace_block" =
+/// records per codec block) are optional, and the reader never gates
+/// on the schema string, so v1 dumps keep parsing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,16 +39,13 @@
 #include "obs/Attribution.h"
 #include "obs/Observer.h"
 #include "obs/Region.h"
+#include "support/Json.h"
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
 namespace ccl::obs {
-
-/// Escapes a string for inclusion in a JSON string literal (quotes not
-/// included).
-std::string jsonEscape(const std::string &Raw);
 
 /// Options for the JSONL event dump.
 struct TraceSinkOptions {
@@ -117,6 +113,38 @@ void writeProfileJson(const AttributionSink &Sink, std::FILE *Out,
 /// Writes the per-region profile table as CSV (header + one row per
 /// region with any activity).
 void writeProfileCsv(const AttributionSink &Sink, std::FILE *Out);
+
+/// One parsed trace line.
+struct TraceRecord {
+  enum class Kind { Meta, Region, Access, Evict, Prefetch } RecordKind;
+
+  // Kind::Meta
+  AttributionConfig Config;
+  uint64_t SampleInterval = 1;
+  // Producing binary + git describe stamp; empty in dumps written
+  // before they were added to the meta line.
+  std::string Producer;
+  std::string ProducerGit;
+  TraceCodecInfo Codec;
+
+  // Kind::Region
+  uint32_t RegionId = 0;
+  RegionInfo Region;
+
+  // Kind::Access (RegionId also set)
+  AccessEvent Access;
+
+  // Kind::Evict
+  EvictEvent Evict;
+
+  // Kind::Prefetch
+  PrefetchEvent Prefetch;
+};
+
+/// Parses one JSONL line (see support/Json.h for the policy). A
+/// "region" line requires "id" and an "a" line a known "lvl"; every
+/// other field is optional.
+json::LineResult parseTraceLine(const std::string &Line, TraceRecord &Out);
 
 } // namespace ccl::obs
 

@@ -11,13 +11,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
 #include <cinttypes>
-#include <cstdlib>
-#include <cstring>
 
 using namespace ccl;
 using namespace ccl::obs;
+using json::Presence;
 
 //===----------------------------------------------------------------------===//
 // FieldProfileSink
@@ -190,8 +188,8 @@ void ccl::obs::writeFieldsJsonl(const FieldProfileSink &Sink, std::FILE *Out,
                "{\"kind\":\"meta\",\"schema\":\"ccl-fields-v1\","
                "\"binary\":\"%s\",\"git\":\"%s\",\"simd\":\"%s\","
                "\"attributed\":%" PRIu64 ",\"unattributed\":%" PRIu64 "}\n",
-               jsonEscape(binaryName()).c_str(),
-               jsonEscape(gitDescribe()).c_str(), simdKernel(),
+               json::escape(binaryName()).c_str(),
+               json::escape(gitDescribe()).c_str(), simdKernel(),
                Sink.attributedEvents(), Sink.unattributedEvents());
   const reflect::TypeRegistry &Registry = Sink.registry();
   for (const reflect::TypeDesc *Desc : Registry.all()) {
@@ -205,8 +203,8 @@ void ccl::obs::writeFieldsJsonl(const FieldProfileSink &Sink, std::FILE *Out,
                  "\"size\":%" PRIu32 ",\"align\":%" PRIu32
                  ",\"objects\":%" PRIu64 ",\"accesses\":%" PRIu64
                  ",\"pad_bytes\":%" PRIu64 "}\n",
-                 jsonEscape(Desc->Name).c_str(),
-                 jsonEscape(Desc->Module).c_str(), Desc->Size, Desc->Align,
+                 json::escape(Desc->Name).c_str(),
+                 json::escape(Desc->Module).c_str(), Desc->Size, Desc->Align,
                  P->Objects, P->Accesses, P->PaddingBytesTouched);
     for (size_t I = 0; I < Desc->Fields.size(); ++I) {
       const reflect::FieldDesc &F = Desc->Fields[I];
@@ -218,8 +216,8 @@ void ccl::obs::writeFieldsJsonl(const FieldProfileSink &Sink, std::FILE *Out,
                    ",\"writes\":%" PRIu64 ",\"l1m\":%" PRIu64
                    ",\"l2m\":%" PRIu64 ",\"tlbm\":%" PRIu64
                    ",\"cyc\":%" PRIu64 ",\"bytes\":%" PRIu64 "}\n",
-                   jsonEscape(Desc->Name).c_str(), jsonEscape(F.Name).c_str(),
-                   F.Offset, F.Size, F.Align, jsonEscape(F.TypeName).c_str(),
+                   json::escape(Desc->Name).c_str(), json::escape(F.Name).c_str(),
+                   F.Offset, F.Size, F.Align, json::escape(F.TypeName).c_str(),
                    F.ElemCount, C.Reads, C.Writes, C.L1Misses, C.L2Misses,
                    C.TlbMisses, C.Cycles, C.BytesAccessed);
     }
@@ -230,133 +228,82 @@ void ccl::obs::writeFieldsJsonl(const FieldProfileSink &Sink, std::FILE *Out,
 // ccl-fields-v1 reader
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-const char *findValue(const std::string &Line, const char *Key) {
-  std::string Needle = std::string("\"") + Key + "\":";
-  size_t Pos = Line.find(Needle);
-  if (Pos == std::string::npos)
-    return nullptr;
-  return Line.c_str() + Pos + Needle.size();
-}
-
-bool getU64(const std::string &Line, const char *Key, uint64_t &Out) {
-  const char *Value = findValue(Line, Key);
-  if (!Value)
-    return false;
-  // strtoull would accept a sign ("-1" wraps to 2^64 - 1) and saturate
-  // on overflow; an unsigned field that is either is malformed.
-  if (*Value < '0' || *Value > '9')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  uint64_t Parsed = std::strtoull(Value, &End, 10);
-  if (errno == ERANGE)
-    return false;
-  Out = Parsed;
-  return true;
-}
-
-uint32_t getU32Or(const std::string &Line, const char *Key, uint32_t Def) {
-  uint64_t V = 0;
-  return getU64(Line, Key, V) ? static_cast<uint32_t>(V) : Def;
-}
-
-bool getString(const std::string &Line, const char *Key, std::string &Out) {
-  const char *Value = findValue(Line, Key);
-  if (!Value || *Value != '"')
-    return false;
-  Out.clear();
-  for (const char *P = Value + 1; *P && *P != '"'; ++P) {
-    if (*P == '\\' && P[1]) {
-      ++P;
-      Out += *P; // ccl-fields-v1 names never need exotic escapes.
-    } else {
-      Out += *P;
-    }
-  }
-  return true;
-}
-
-} // namespace
-
-const FieldsTypeDoc *FieldsDoc::findType(const std::string &Name) const {
-  for (const FieldsTypeDoc &T : Types)
-    if (T.Name == Name)
-      return &T;
-  return nullptr;
-}
-
-bool ccl::obs::parseFieldsLine(const std::string &Line, FieldsDoc &Doc) {
+json::LineResult ccl::obs::parseFieldsLine(const std::string &Line,
+                                           FieldsDoc &Doc) {
+  json::Value Obj;
+  if (json::LineResult R = json::parseObjectLine(Line, Obj); !R)
+    return R;
+  json::FieldReader F(Obj);
   std::string Kind;
-  if (!getString(Line, "kind", Kind))
-    return Line.find_first_not_of(" \t\r\n") == std::string::npos;
+  F.str("kind", Kind, Presence::Required);
+
   if (Kind == "meta") {
-    getString(Line, "schema", Doc.Schema);
-    getString(Line, "binary", Doc.Binary);
-    getString(Line, "git", Doc.Git);
-    getString(Line, "simd", Doc.Simd);
-    getU64(Line, "attributed", Doc.Attributed);
-    getU64(Line, "unattributed", Doc.Unattributed);
-    return true;
+    F.str("schema", Doc.Schema);
+    F.str("binary", Doc.Binary);
+    F.str("git", Doc.Git);
+    F.str("simd", Doc.Simd);
+    F.uint("attributed", Doc.Attributed);
+    F.uint("unattributed", Doc.Unattributed);
+    return F.result();
   }
+
   if (Kind == "type") {
     FieldsTypeDoc T;
-    getString(Line, "name", T.Name);
-    getString(Line, "module", T.Module);
-    T.Size = getU32Or(Line, "size", 0);
-    T.Align = getU32Or(Line, "align", 1);
-    getU64(Line, "objects", T.Objects);
-    getU64(Line, "accesses", T.Accesses);
-    getU64(Line, "pad_bytes", T.PaddingBytesTouched);
-    Doc.Types.push_back(std::move(T));
-    return true;
+    F.str("name", T.Name, Presence::Required);
+    F.str("module", T.Module);
+    F.uint("size", T.Size, Presence::Required);
+    F.uint("align", T.Align);
+    F.uint("objects", T.Objects);
+    F.uint("accesses", T.Accesses);
+    F.uint("pad_bytes", T.PaddingBytesTouched);
+    if (F.result())
+      Doc.Types.push_back(std::move(T));
+    return F.result();
   }
+
   if (Kind == "f") {
     std::string TypeName;
-    getString(Line, "type", TypeName);
-    FieldsTypeDoc *Owner = nullptr;
+    FieldsFieldDoc D;
+    F.str("type", TypeName, Presence::Required);
+    F.str("field", D.Name, Presence::Required);
+    F.uint("off", D.Offset);
+    F.uint("size", D.Size);
+    F.uint("align", D.Align);
+    F.str("ftype", D.TypeName);
+    F.uint("n", D.ElemCount);
+    F.uint("reads", D.Counters.Reads);
+    F.uint("writes", D.Counters.Writes);
+    F.uint("l1m", D.Counters.L1Misses);
+    F.uint("l2m", D.Counters.L2Misses);
+    F.uint("tlbm", D.Counters.TlbMisses);
+    F.uint("cyc", D.Counters.Cycles);
+    F.uint("bytes", D.Counters.BytesAccessed);
+    if (!F.result())
+      return F.result();
+    // The writer emits each type line before its fields.
     for (FieldsTypeDoc &T : Doc.Types)
-      if (T.Name == TypeName)
-        Owner = &T;
-    if (!Owner)
-      return true; // orphan field line: tolerate, like unknown kinds
-    FieldsFieldDoc F;
-    getString(Line, "field", F.Name);
-    F.Offset = getU32Or(Line, "off", 0);
-    F.Size = getU32Or(Line, "size", 0);
-    F.Align = getU32Or(Line, "align", 1);
-    getString(Line, "ftype", F.TypeName);
-    F.ElemCount = getU32Or(Line, "n", 1);
-    getU64(Line, "reads", F.Counters.Reads);
-    getU64(Line, "writes", F.Counters.Writes);
-    getU64(Line, "l1m", F.Counters.L1Misses);
-    getU64(Line, "l2m", F.Counters.L2Misses);
-    getU64(Line, "tlbm", F.Counters.TlbMisses);
-    getU64(Line, "cyc", F.Counters.Cycles);
-    getU64(Line, "bytes", F.Counters.BytesAccessed);
-    Owner->Fields.push_back(std::move(F));
-    return true;
+      if (T.Name == TypeName) {
+        T.Fields.push_back(std::move(D));
+        return {};
+      }
+    return json::LineResult::malformed("type: no \"" + TypeName +
+                                       "\" type line before it");
   }
-  return true; // unknown kind: skip
+
+  return F.result() ? json::LineResult::skip() : F.result();
 }
 
-bool ccl::obs::readFieldsFile(const char *Path, FieldsDoc &Doc) {
+bool ccl::obs::readFieldsFile(const char *Path, FieldsDoc &Doc,
+                              std::string *Error) {
+  auto Parse = [&](const std::string &Line) {
+    return parseFieldsLine(Line, Doc);
+  };
   std::FILE *In = std::fopen(Path, "r");
-  if (!In)
-    return false;
-  std::string Line;
-  int Ch;
-  while ((Ch = std::fgetc(In)) != EOF) {
-    if (Ch == '\n') {
-      parseFieldsLine(Line, Doc);
-      Line.clear();
-    } else {
-      Line += static_cast<char>(Ch);
-    }
-  }
-  if (!Line.empty())
-    parseFieldsLine(Line, Doc);
-  std::fclose(In);
-  return true;
+  std::string Why = " cannot open";
+  long Records = In ? json::readJsonl(In, Parse, &Why) : -1;
+  if (In)
+    std::fclose(In);
+  if (Records < 0 && Error)
+    *Error = std::string(Path) + ":" + Why;
+  return Records >= 0;
 }

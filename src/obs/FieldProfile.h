@@ -30,8 +30,7 @@
 ///    "align":4,"ftype":"u32[4]","n":4,"reads":..,"writes":..,
 ///    "l1m":..,"l2m":..,"tlbm":..,"cyc":..,"bytes":..}
 ///
-/// Readers skip unknown kinds and tolerate absent fields, matching the
-/// ccl-trace/ccl-metrics reader contract.
+/// Read back through the shared strict reader (support/Json.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +38,7 @@
 #define CCL_OBS_FIELDPROFILE_H
 
 #include "obs/Observer.h"
+#include "support/Json.h"
 #include "support/Reflect.h"
 
 #include <cstdio>
@@ -153,13 +153,7 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// One parsed "f" line: the field's layout facts plus its counters.
-struct FieldsFieldDoc {
-  std::string Name;
-  uint32_t Offset = 0;
-  uint32_t Size = 0;
-  uint32_t Align = 1;
-  std::string TypeName;
-  uint32_t ElemCount = 1;
+struct FieldsFieldDoc : reflect::FieldDesc {
   FieldCounters Counters;
 };
 
@@ -184,8 +178,6 @@ struct FieldsDoc {
   uint64_t Attributed = 0;
   uint64_t Unattributed = 0;
   std::vector<FieldsTypeDoc> Types;
-
-  const FieldsTypeDoc *findType(const std::string &Name) const;
 };
 
 /// Writes the sink's profiles (ccl-fields-v1). Types without attributed
@@ -193,12 +185,16 @@ struct FieldsDoc {
 void writeFieldsJsonl(const FieldProfileSink &Sink, std::FILE *Out,
                       bool IncludeIdle = false);
 
-/// Parses one dump line into \p Doc. Unknown kinds are skipped (returns
-/// true); returns false only for lines that cannot be a JSON object.
-bool parseFieldsLine(const std::string &Line, FieldsDoc &Doc);
+/// Parses one dump line into \p Doc (see support/Json.h for the
+/// policy). "type" lines require "name" and "size"; "f" lines require
+/// "type" and "field" and must follow their type's line.
+json::LineResult parseFieldsLine(const std::string &Line, FieldsDoc &Doc);
 
-/// Reads a whole dump; returns false if the file cannot be opened.
-bool readFieldsFile(const char *Path, FieldsDoc &Doc);
+/// Reads a whole dump. Returns false if the file cannot be opened or a
+/// line is malformed, with "<path>:<line>: <reason>" (or
+/// "<path>: cannot open") in \p Error when non-null.
+bool readFieldsFile(const char *Path, FieldsDoc &Doc,
+                    std::string *Error = nullptr);
 
 } // namespace ccl::obs
 

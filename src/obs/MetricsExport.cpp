@@ -10,75 +10,23 @@
 #include "support/BuildInfo.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cinttypes>
-#include <cstdlib>
-#include <cstring>
 
 using namespace ccl;
 using namespace ccl::obs;
+using json::Presence;
 
 namespace {
 
-const char *findValue(const std::string &Line, const char *Key) {
-  std::string Needle = std::string("\"") + Key + "\":";
-  size_t Pos = Line.find(Needle);
-  if (Pos == std::string::npos)
-    return nullptr;
-  return Line.c_str() + Pos + Needle.size();
-}
-
-bool getU64(const std::string &Line, const char *Key, uint64_t &Out) {
-  const char *Value = findValue(Line, Key);
-  if (!Value)
-    return false;
-  // strtoull would accept a sign ("-1" wraps to 2^64 - 1) and saturate
-  // on overflow; an unsigned field that is either is malformed.
-  if (*Value < '0' || *Value > '9')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  uint64_t Parsed = std::strtoull(Value, &End, 10);
-  if (errno == ERANGE)
-    return false;
-  Out = Parsed;
-  return true;
-}
-
-bool getString(const std::string &Line, const char *Key, std::string &Out) {
-  const char *Value = findValue(Line, Key);
-  if (!Value || *Value != '"')
-    return false;
-  Out.clear();
-  for (const char *P = Value + 1; *P && *P != '"'; ++P) {
-    if (*P == '\\' && P[1]) {
-      ++P;
-      Out += *P; // ccl-metrics-v1 names never need exotic escapes.
-    } else {
-      Out += *P;
-    }
-  }
-  return true;
-}
-
-metrics::CounterSnapshot &counterSlot(MetricsDoc &Doc,
-                                      const std::string &Name) {
-  for (metrics::CounterSnapshot &C : Doc.Data.Counters)
-    if (C.Name == Name)
-      return C;
-  Doc.Data.Counters.emplace_back();
-  Doc.Data.Counters.back().Name = Name;
-  return Doc.Data.Counters.back();
-}
-
-metrics::HistogramSnapshot &histogramSlot(MetricsDoc &Doc,
-                                          const std::string &Name) {
-  for (metrics::HistogramSnapshot &H : Doc.Data.Histograms)
-    if (H.Name == Name)
-      return H;
-  Doc.Data.Histograms.emplace_back();
-  Doc.Data.Histograms.back().Name = Name;
-  return Doc.Data.Histograms.back();
+/// The entry named \p Name in \p List, appended if absent: repeated
+/// lines for one name accumulate.
+template <typename T> T &slot(std::vector<T> &List, const std::string &Name) {
+  for (T &Entry : List)
+    if (Entry.Name == Name)
+      return Entry;
+  List.emplace_back();
+  List.back().Name = Name;
+  return List.back();
 }
 
 /// Lower bound of histogram bucket B (bit_width == B).
@@ -103,8 +51,8 @@ void ccl::obs::writeMetricsJsonl(const metrics::Snapshot &Snapshot,
                "{\"kind\":\"meta\",\"schema\":\"ccl-metrics-v1\","
                "\"binary\":\"%s\",\"git\":\"%s\",\"simd\":\"%s\","
                "\"clock_ns\":%" PRIu64 "%s",
-               jsonEscape(binaryName()).c_str(),
-               jsonEscape(gitDescribe()).c_str(), simdKernel(),
+               json::escape(binaryName()).c_str(),
+               json::escape(gitDescribe()).c_str(), simdKernel(),
                metrics::clockNs(),
                Snapshot.Overflowed ? ",\"overflowed\":1" : "");
   if (Snapshot.SpansDropped != 0)
@@ -112,12 +60,12 @@ void ccl::obs::writeMetricsJsonl(const metrics::Snapshot &Snapshot,
   std::fprintf(Out, "}\n");
   for (const metrics::CounterSnapshot &C : Snapshot.Counters)
     std::fprintf(Out, "{\"kind\":\"c\",\"name\":\"%s\",\"v\":%" PRIu64 "}\n",
-                 jsonEscape(C.Name).c_str(), C.Value);
+                 json::escape(C.Name).c_str(), C.Value);
   for (const metrics::HistogramSnapshot &H : Snapshot.Histograms) {
     std::fprintf(Out,
                  "{\"kind\":\"h\",\"name\":\"%s\",\"count\":%" PRIu64
                  ",\"sum\":%" PRIu64 ",\"b\":[",
-                 jsonEscape(H.Name).c_str(), H.Count, H.Sum);
+                 json::escape(H.Name).c_str(), H.Count, H.Sum);
     bool First = true;
     for (uint32_t B = 0; B < metrics::HistogramBuckets; ++B) {
       if (H.Buckets[B] == 0)
@@ -132,7 +80,7 @@ void ccl::obs::writeMetricsJsonl(const metrics::Snapshot &Snapshot,
     std::fprintf(Out,
                  "{\"kind\":\"s\",\"name\":\"%s\",\"t0\":%" PRIu64
                  ",\"dur\":%" PRIu64 ",\"tid\":%" PRIu32 "}\n",
-                 jsonEscape(S.Name).c_str(), S.StartNs, S.DurNs, S.Tid);
+                 json::escape(S.Name).c_str(), S.StartNs, S.DurNs, S.Tid);
 }
 
 bool ccl::obs::dumpProcessMetrics(const std::string &Path) {
@@ -152,99 +100,82 @@ bool ccl::obs::dumpProcessMetrics(const std::string &Path) {
   return true;
 }
 
-bool ccl::obs::parseMetricsLine(const std::string &Line, MetricsDoc &Doc) {
-  std::string Kind;
-  if (!getString(Line, "kind", Kind))
-    return false;
-  uint64_t U = 0;
+json::LineResult ccl::obs::parseMetricsLine(const std::string &Line,
+                                            MetricsDoc &Doc) {
+  json::Value Obj;
+  if (json::LineResult R = json::parseObjectLine(Line, Obj); !R)
+    return R;
+  json::FieldReader F(Obj);
+  std::string Kind, Name;
+  F.str("kind", Kind, Presence::Required);
 
   if (Kind == "meta") {
     std::string Schema;
-    if (!getString(Line, "schema", Schema) || Schema != "ccl-metrics-v1")
-      return false;
-    getString(Line, "binary", Doc.Binary);
-    getString(Line, "git", Doc.Git);
-    getString(Line, "simd", Doc.Simd);
-    if (getU64(Line, "overflowed", U) && U != 0)
-      Doc.Data.Overflowed = true;
-    if (getU64(Line, "spans_dropped", U))
-      Doc.Data.SpansDropped += U;
-    return true;
+    if (F.str("schema", Schema, Presence::Required) &&
+        Schema != "ccl-metrics-v1")
+      F.fail("schema", "not ccl-metrics-v1");
+    bool Overflowed = false;
+    uint64_t SpansDropped = 0;
+    F.str("binary", Doc.Binary);
+    F.str("git", Doc.Git);
+    F.str("simd", Doc.Simd);
+    F.flag("overflowed", Overflowed);
+    F.uint("spans_dropped", SpansDropped);
+    Doc.Data.Overflowed |= Overflowed;
+    Doc.Data.SpansDropped += SpansDropped;
+    return F.result();
   }
 
   if (Kind == "c") {
-    std::string Name;
-    if (!getString(Line, "name", Name) || !getU64(Line, "v", U))
-      return false;
-    counterSlot(Doc, Name).Value += U;
-    return true;
+    uint64_t V = 0;
+    F.str("name", Name, Presence::Required);
+    F.uint("v", V, Presence::Required);
+    if (F.result())
+      slot(Doc.Data.Counters, Name).Value += V;
+    return F.result();
   }
 
   if (Kind == "h") {
-    std::string Name;
-    if (!getString(Line, "name", Name))
-      return false;
-    metrics::HistogramSnapshot &H = histogramSlot(Doc, Name);
-    if (getU64(Line, "count", U))
-      H.Count += U;
-    if (getU64(Line, "sum", U))
-      H.Sum += U;
+    metrics::HistogramSnapshot Parsed;
+    F.str("name", Name, Presence::Required);
+    F.uint("count", Parsed.Count);
+    F.uint("sum", Parsed.Sum);
     // Sparse bucket array: "b":[[B,N],...]
-    const char *P = findValue(Line, "b");
-    if (P && *P == '[') {
-      ++P;
-      while (*P == '[') {
-        char *End = nullptr;
-        uint64_t B = std::strtoull(P + 1, &End, 10);
-        if (End == P + 1 || *End != ',')
-          break;
-        P = End + 1;
-        uint64_t N = std::strtoull(P, &End, 10);
-        if (End == P || *End != ']')
-          break;
-        if (B < metrics::HistogramBuckets)
-          H.Buckets[B] += N;
-        P = End + 1;
-        if (*P == ',')
-          ++P;
+    if (const json::Value *Pairs = F.get("b", json::Value::Kind::Array)) {
+      for (const json::Value &Pair : Pairs->Items) {
+        uint64_t B = 0, N = 0;
+        std::string Why = "expected [bucket,count] pairs";
+        if (Pair.K != json::Value::Kind::Array || Pair.Items.size() != 2 ||
+            !json::toU64(Pair.Items[0], B, Why) ||
+            !json::toU64(Pair.Items[1], N, Why))
+          return json::LineResult::malformed("b: " + Why);
+        if (B >= metrics::HistogramBuckets)
+          return json::LineResult::malformed("b: bucket out of range");
+        Parsed.Buckets[B] += N;
       }
     }
-    return true;
+    if (!F.result())
+      return F.result();
+    metrics::HistogramSnapshot &H = slot(Doc.Data.Histograms, Name);
+    H.Count += Parsed.Count;
+    H.Sum += Parsed.Sum;
+    for (uint32_t B = 0; B < metrics::HistogramBuckets; ++B)
+      H.Buckets[B] += Parsed.Buckets[B];
+    return {};
   }
 
   if (Kind == "s") {
     metrics::SpanSnapshot S;
-    if (!getString(Line, "name", S.Name))
-      return false;
-    if (getU64(Line, "t0", U))
-      S.StartNs = U;
-    if (getU64(Line, "dur", U))
-      S.DurNs = U;
-    if (getU64(Line, "tid", U))
-      S.Tid = uint32_t(U);
-    Doc.Data.Spans.push_back(std::move(S));
-    return true;
+    F.str("name", S.Name, Presence::Required);
+    F.uint("t0", S.StartNs);
+    F.uint("dur", S.DurNs);
+    F.uint("tid", S.Tid);
+    if (F.result())
+      Doc.Data.Spans.push_back(std::move(S));
+    return F.result();
   }
 
-  return false;
-}
-
-long ccl::obs::readMetricsFile(std::FILE *In, MetricsDoc &Doc) {
-  long Parsed = 0;
-  std::string Line;
-  int C;
-  while ((C = std::fgetc(In)) != EOF) {
-    if (C != '\n') {
-      Line += char(C);
-      continue;
-    }
-    if (!Line.empty() && parseMetricsLine(Line, Doc))
-      ++Parsed;
-    Line.clear();
-  }
-  if (!Line.empty() && parseMetricsLine(Line, Doc))
-    ++Parsed;
-  return Parsed;
+  return F.result() ? json::LineResult::skip() : F.result();
 }
 
 void ccl::obs::printMetricsReport(const MetricsDoc &Doc, std::FILE *Out) {
@@ -310,12 +241,12 @@ void ccl::obs::writeMetricsSummaryJson(const MetricsDoc &Doc,
   std::fprintf(Out,
                "{\"schema\":\"ccl-metrics-summary-v1\",\"binary\":\"%s\","
                "\"git\":\"%s\",\"simd\":\"%s\",",
-               jsonEscape(Doc.Binary).c_str(), jsonEscape(Doc.Git).c_str(),
-               jsonEscape(Doc.Simd).c_str());
+               json::escape(Doc.Binary).c_str(), json::escape(Doc.Git).c_str(),
+               json::escape(Doc.Simd).c_str());
   std::fprintf(Out, "\"counters\":{");
   for (size_t I = 0; I < Doc.Data.Counters.size(); ++I)
     std::fprintf(Out, "%s\"%s\":%" PRIu64, I == 0 ? "" : ",",
-                 jsonEscape(Doc.Data.Counters[I].Name).c_str(),
+                 json::escape(Doc.Data.Counters[I].Name).c_str(),
                  Doc.Data.Counters[I].Value);
   std::fprintf(Out, "},\"histograms\":[");
   for (size_t I = 0; I < Doc.Data.Histograms.size(); ++I) {
@@ -324,7 +255,7 @@ void ccl::obs::writeMetricsSummaryJson(const MetricsDoc &Doc,
     std::fprintf(Out,
                  "%s{\"name\":\"%s\",\"count\":%" PRIu64 ",\"sum\":%" PRIu64
                  ",\"mean\":%.6g,\"buckets\":[",
-                 I == 0 ? "" : ",", jsonEscape(H.Name).c_str(), H.Count,
+                 I == 0 ? "" : ",", json::escape(H.Name).c_str(), H.Count,
                  H.Sum, Mean);
     bool First = true;
     for (uint32_t B = 0; B < metrics::HistogramBuckets; ++B) {
@@ -343,7 +274,7 @@ void ccl::obs::writeMetricsSummaryJson(const MetricsDoc &Doc,
     std::fprintf(Out,
                  "%s{\"name\":\"%s\",\"t0_ns\":%" PRIu64 ",\"dur_ns\":%" PRIu64
                  ",\"tid\":%" PRIu32 "}",
-                 I == 0 ? "" : ",", jsonEscape(S.Name).c_str(), S.StartNs,
+                 I == 0 ? "" : ",", json::escape(S.Name).c_str(), S.StartNs,
                  S.DurNs, S.Tid);
   }
   std::fprintf(Out, "]}\n");
@@ -356,7 +287,7 @@ void ccl::obs::writeMetricsChrome(const MetricsDoc &Doc, std::FILE *Out) {
     std::fprintf(Out,
                  "%s{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"X\","
                  "\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%" PRIu32 "}",
-                 First ? "" : ",", jsonEscape(S.Name).c_str(),
+                 First ? "" : ",", json::escape(S.Name).c_str(),
                  double(S.StartNs) / 1e3, double(S.DurNs) / 1e3, S.Tid);
     First = false;
   }

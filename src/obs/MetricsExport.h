@@ -18,13 +18,14 @@
 ///                                    // bucket B holds bit_width==B
 ///   {"kind":"s","name":"fig5.replay","t0":1000,"dur":52000,"tid":0}
 ///
-/// Readers skip unknown kinds and fields, mirroring ccl-trace-v1.
+/// Read back through the shared strict reader (support/Json.h).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCL_OBS_METRICSEXPORT_H
 #define CCL_OBS_METRICSEXPORT_H
 
+#include "support/Json.h"
 #include "support/Metrics.h"
 
 #include <cstdio>
@@ -53,14 +54,11 @@ struct MetricsDoc {
   metrics::Snapshot Data;
 };
 
-/// Parses one JSONL line; returns false for blank/unknown/corrupt
-/// lines (callers count successes). Accumulates into \p Doc: repeated
-/// counter/histogram lines for one name sum, matching multi-dump cat.
-bool parseMetricsLine(const std::string &Line, MetricsDoc &Doc);
-
-/// Reads a whole dump; returns the number of parsed records (0 when
-/// nothing parsed).
-long readMetricsFile(std::FILE *In, MetricsDoc &Doc);
+/// Parses one JSONL line (see support/Json.h for the policy); "c"
+/// lines require "name" and "v", "h" and "s" lines "name". Accumulates
+/// into \p Doc: repeated counter/histogram lines for one name sum,
+/// matching multi-dump cat.
+json::LineResult parseMetricsLine(const std::string &Line, MetricsDoc &Doc);
 
 /// Human-readable report: counter table, histogram distributions
 /// (power-of-two buckets), span list.

@@ -59,8 +59,8 @@ void MemoryHierarchy::replay(TraceCursor &Cursor, size_t MaxRecords) {
   // tag lines and TLB index slots it will probe — non-mutating, unknown
   // first-touch units skipped) and its exact access pass, batch N+1 is
   // kernel-decoded. The decode is pure shuffle/pointer arithmetic over
-  // the blocked stream (v2) or the varint stream (v1), so it overlaps
-  // with the prefetches in flight instead of stalling behind them.
+  // the blocked stream, so it overlaps with the prefetches in flight
+  // instead of stalling behind them.
   constexpr size_t BatchSize = TraceBlockCap;
   TraceRecord Buf0[BatchSize], Buf1[BatchSize];
   TraceRecord *Probe = Buf0, *Ahead = Buf1;

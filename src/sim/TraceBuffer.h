@@ -12,40 +12,28 @@
 /// the paper's own RSIM experiments, where one recorded address stream
 /// was evaluated against many layouts.
 ///
-/// Two wire encodings share one record model:
-///
-/// v1 (delta/varint, one record at a time — kept for compatibility and
-/// as the compact-recording baseline):
-///
-///   header byte: [7..5 reserved][4..2 size code][1..0 opcode]
-///     opcode     0 = read, 1 = write, 2 = prefetch, 3 = tick
-///     size code  1..7 -> {1, 2, 4, 8, 16, 32, 64} bytes (the common
-///                field/node sizes); 0 -> explicit varint size follows
-///                the address delta. Prefetch/tick leave it zero.
-///   read/write: zigzag varint of (addr - prev addr) [+ varint size]
-///   prefetch:   zigzag varint of (addr - prev addr)
-///   tick:       varint cycle count
-///
-/// v2 (blocked control/data lanes, the default — decodes a whole block
-/// with the table-driven shuffle kernels in sim/TraceSimd.cpp):
+/// Wire format (ccl-trace v2): blocked control/data lanes, so a whole
+/// block decodes with the table-driven shuffle kernels in
+/// sim/TraceSimd.cpp.
 ///
 ///   block: varint record count N (<= TraceBlockCap)
 ///          varint data-lane bytes
 ///          varint extra-lane bytes
 ///          N control bytes | data lane | extra lane
 ///   control byte: [7 reserved][6..5 width code][4..2 size code]
-///                 [1..0 opcode] — opcode and size code exactly as v1.
+///                 [1..0 opcode]
+///     opcode     0 = read, 1 = write, 2 = prefetch, 3 = tick
+///     size code  1..7 -> {1, 2, 4, 8, 16, 32, 64} bytes (the common
+///                field/node sizes); 0 -> explicit size in the extra
+///                lane. Prefetch/tick leave it zero.
 ///   data lane:    per record, little-endian payload of 1/2/4/8 bytes
 ///                 (1 << width code): the zigzag address delta for
 ///                 read/write/prefetch, the cycle count for ticks.
 ///   extra lane:   varint explicit sizes (size code 0 reads/writes), in
 ///                 record order.
 ///
-/// Reads, writes, and prefetches share one previous-address chain in
-/// both encodings, so pointer-chase locality keeps deltas short. The
-/// encodings store identical record streams — same kinds, addresses,
-/// and arguments — so replay results cannot depend on the version
-/// (locked down by tests/trace_v2_test.cpp).
+/// Reads, writes, and prefetches share one previous-address chain, so
+/// pointer-chase locality keeps deltas short.
 ///
 /// A sealed buffer is immutable; TraceView (a borrowed prefix) and
 /// TraceCursor (a decoding position) are cheap value types, so many
@@ -74,10 +62,7 @@
 
 namespace ccl::sim {
 
-/// Wire encodings a TraceBuffer can record (see the file comment).
-enum class TraceEncoding : uint8_t { V1 = 1, V2 = 2 };
-
-/// Records per v2 block. Also the natural batch size for
+/// Records per block. Also the natural batch size for
 /// TraceCursor::nextBatch() — one kernel invocation decodes one block.
 inline constexpr size_t TraceBlockCap = 64;
 
@@ -96,11 +81,8 @@ struct TraceRecord {
 struct TraceView {
   const uint8_t *Data = nullptr;
   size_t NumRecords = 0;
-  TraceEncoding Enc = TraceEncoding::V1;
 
   size_t records() const { return NumRecords; }
-  bool empty() const { return NumRecords == 0; }
-  TraceEncoding encoding() const { return Enc; }
 };
 
 /// A decoding position inside a view. next() streams records in order;
@@ -113,9 +95,8 @@ class TraceCursor {
 public:
   TraceCursor() = default;
   explicit TraceCursor(TraceView View)
-      : Enc(View.Enc), Pos(View.Data), RecordsLeft(View.NumRecords) {}
+      : Pos(View.Data), RecordsLeft(View.NumRecords) {}
 
-  size_t remaining() const { return RecordsLeft; }
   bool done() const { return RecordsLeft == 0; }
 
   /// Decodes the next record into \p Out; returns false when exhausted.
@@ -123,10 +104,6 @@ public:
     if (RecordsLeft == 0)
       return false;
     --RecordsLeft;
-    if (Enc == TraceEncoding::V1) {
-      nextV1(Out);
-      return true;
-    }
     if (BlockIdx == BlockLen)
       openBlock();
     finalizeRecord(BlockIdx++, Out);
@@ -134,7 +111,7 @@ public:
   }
 
   /// Decodes up to \p Max records into \p Out and returns how many were
-  /// produced (0 only when exhausted). A v2 cursor returns at most the
+  /// produced (0 only when exhausted). A cursor returns at most the
   /// rest of its current block, so after the first call batches align
   /// with kernel-decoded blocks; callers loop until satisfied.
   size_t nextBatch(TraceRecord *Out, size_t Max) {
@@ -142,12 +119,6 @@ public:
       Max = RecordsLeft;
     if (Max == 0)
       return 0;
-    if (Enc == TraceEncoding::V1) {
-      for (size_t I = 0; I < Max; ++I)
-        nextV1(Out[I]);
-      RecordsLeft -= Max;
-      return Max;
-    }
     if (BlockIdx == BlockLen)
       openBlock();
     size_t Take = BlockLen - BlockIdx;
@@ -161,35 +132,14 @@ public:
   }
 
 private:
-  /// v1 per-record decode (the original wire format).
-  void nextV1(TraceRecord &Out) {
-    uint8_t Header = *Pos++;
-    auto Kind = TraceRecord::Kind(Header & 0x3);
-    Out.K = Kind;
-    if (Kind == TraceRecord::Kind::Tick) {
-      Out.Addr = 0;
-      Out.Arg = varintDecode(Pos);
-      return;
-    }
-    PrevAddr += uint64_t(zigzagDecode(varintDecode(Pos)));
-    Out.Addr = PrevAddr;
-    if (Kind == TraceRecord::Kind::Prefetch) {
-      Out.Arg = 0;
-      return;
-    }
-    uint32_t SizeCode = (Header >> 2) & 0x7;
-    Out.Arg = SizeCode != 0 ? uint64_t(1) << (SizeCode - 1)
-                            : varintDecode(Pos);
-  }
-
-  /// Opens the v2 block at Pos: parses the header, locates the lanes,
+  /// Opens the block at Pos: parses the header, locates the lanes,
   /// and kernel-decodes every payload in one pass.
   void openBlock() {
     const uint8_t *P = Pos;
     uint64_t N = varintDecode(P);
     uint64_t DataBytes = varintDecode(P);
     uint64_t ExtraBytes = varintDecode(P);
-    assert(N != 0 && N <= TraceBlockCap && "corrupt v2 block header");
+    assert(N != 0 && N <= TraceBlockCap && "corrupt block header");
     Ctrl = P;
     const uint8_t *DataLane = Ctrl + N;
     Extra = DataLane + DataBytes;
@@ -224,12 +174,11 @@ private:
                             : varintDecode(Extra);
   }
 
-  TraceEncoding Enc = TraceEncoding::V1;
-  /// v1: the next record's header. v2: the next block's header.
+  /// The next block's header.
   const uint8_t *Pos = nullptr;
   size_t RecordsLeft = 0;
   uint64_t PrevAddr = 0;
-  // v2 state for the open block.
+  // State for the open block.
   const uint8_t *Ctrl = nullptr;     ///< Control lane.
   const uint8_t *Extra = nullptr;    ///< Extra-lane read position.
   uint32_t BlockLen = 0;
@@ -242,10 +191,7 @@ private:
 /// (or a sim::RecordAccess policy), seal(), then hand out views.
 class TraceBuffer {
 public:
-  /// Records in the blocked v2 encoding by default; pass
-  /// TraceEncoding::V1 for the legacy per-record varint format.
   TraceBuffer() = default;
-  explicit TraceBuffer(TraceEncoding Enc) : Enc(Enc) {}
 
   // The encoding chains address deltas; moving the storage is fine, but
   // accidental copies of multi-megabyte recordings are not.
@@ -253,8 +199,6 @@ public:
   TraceBuffer &operator=(const TraceBuffer &) = delete;
   TraceBuffer(TraceBuffer &&) = default;
   TraceBuffer &operator=(TraceBuffer &&) = default;
-
-  TraceEncoding encodingVersion() const { return Enc; }
 
   void recordRead(uint64_t Addr, uint64_t Size) {
     recordAccess(0, Addr, Size);
@@ -266,32 +210,14 @@ public:
 
   void recordPrefetch(uint64_t Addr) {
     assert(!Sealed && "recording into a sealed trace");
-    if (Enc == TraceEncoding::V2) {
-      uint64_t Delta = zigzagEncode(int64_t(Addr - PrevAddr));
-      pendingPush(2, Delta);
-      PrevAddr = Addr;
-      ++NumRecords;
-      return;
-    }
-    uint8_t *P = grab(MaxRecordBytes);
-    *P++ = 2;
-    P = varintEncode(P, zigzagEncode(int64_t(Addr - PrevAddr)));
-    Used = size_t(P - Data.data());
+    pendingPush(2, zigzagEncode(int64_t(Addr - PrevAddr)));
     PrevAddr = Addr;
     ++NumRecords;
   }
 
   void recordTick(uint64_t Cycles) {
     assert(!Sealed && "recording into a sealed trace");
-    if (Enc == TraceEncoding::V2) {
-      pendingPush(3, Cycles);
-      ++NumRecords;
-      return;
-    }
-    uint8_t *P = grab(MaxRecordBytes);
-    *P++ = 3;
-    P = varintEncode(P, Cycles);
-    Used = size_t(P - Data.data());
+    pendingPush(3, Cycles);
     ++NumRecords;
   }
 
@@ -299,26 +225,21 @@ public:
   /// prefix() for "everything recorded up to this point".
   size_t records() const { return NumRecords; }
 
-  /// Encoded size, including the not-yet-flushed v2 block; compactness
+  /// Encoded size, including the not-yet-flushed block; compactness
   /// is what makes whole-benchmark recordings affordable (tests assert
   /// it beats sizeof(MemAccess) per record).
   size_t bytes() const { return Used + pendingEncodedBytes(); }
 
   /// Freezes the buffer (and trims its allocation). Required before
-  /// views may be shared across threads. v2 buffers keep
+  /// views may be shared across threads. Sealed buffers keep
   /// TraceSimdPadBytes of readable zero padding past the encoded bytes
   /// so the shuffle kernels' full-width tail loads stay in bounds;
   /// bytes() still reports the unpadded size.
   void seal() {
-    if (Enc == TraceEncoding::V2) {
-      flushBlock();
-      Sealed = true;
-      Data.resize(Used + TraceSimdPadBytes);
-      std::memset(Data.data() + Used, 0, TraceSimdPadBytes);
-    } else {
-      Sealed = true;
-      Data.resize(Used);
-    }
+    flushBlock();
+    Sealed = true;
+    Data.resize(Used + TraceSimdPadBytes);
+    std::memset(Data.data() + Used, 0, TraceSimdPadBytes);
     Data.shrink_to_fit();
   }
 
@@ -327,16 +248,16 @@ public:
   /// View over the whole recording.
   TraceView view() const {
     assert(pendingEncodedBytes() == 0 &&
-           "seal() a v2 buffer before taking views");
-    return {Data.data(), NumRecords, Enc};
+           "seal() the buffer before taking views");
+    return {Data.data(), NumRecords};
   }
 
   /// View over the first \p Records records.
   TraceView prefix(size_t Records) const {
     assert(Records <= NumRecords && "prefix longer than the recording");
     assert(pendingEncodedBytes() == 0 &&
-           "seal() a v2 buffer before taking views");
-    return {Data.data(), Records, Enc};
+           "seal() the buffer before taking views");
+    return {Data.data(), Records};
   }
 
   void clear() {
@@ -354,21 +275,10 @@ private:
   void recordAccess(uint8_t Opcode, uint64_t Addr, uint64_t Size) {
     assert(!Sealed && "recording into a sealed trace");
     uint32_t SizeCode = sizeCodeFor(Size);
-    if (Enc == TraceEncoding::V2) {
-      uint64_t Delta = zigzagEncode(int64_t(Addr - PrevAddr));
-      if (SizeCode == 0)
-        varintEncode(PendingExtra, Size);
-      pendingPush(uint8_t(Opcode | (SizeCode << 2)), Delta);
-      PrevAddr = Addr;
-      ++NumRecords;
-      return;
-    }
-    uint8_t *P = grab(MaxRecordBytes);
-    *P++ = uint8_t(Opcode | (SizeCode << 2));
-    P = varintEncode(P, zigzagEncode(int64_t(Addr - PrevAddr)));
     if (SizeCode == 0)
-      P = varintEncode(P, Size);
-    Used = size_t(P - Data.data());
+      varintEncode(PendingExtra, Size);
+    pendingPush(uint8_t(Opcode | (SizeCode << 2)),
+                zigzagEncode(int64_t(Addr - PrevAddr)));
     PrevAddr = Addr;
     ++NumRecords;
   }
@@ -384,7 +294,7 @@ private:
     return 3;
   }
 
-  /// Appends one record to the pending v2 block, flushing when full.
+  /// Appends one record to the pending block, flushing when full.
   void pendingPush(uint8_t CtrlBits, uint64_t Payload) {
     uint32_t Width = widthCodeFor(Payload);
     PendingCtrl[PendingCount] = uint8_t(CtrlBits | (Width << 5));
@@ -399,10 +309,7 @@ private:
   void flushBlock() {
     if (PendingCount == 0)
       return;
-    size_t Total = varintLen(PendingCount) + varintLen(PendingDataBytes) +
-                   varintLen(PendingExtra.size()) + PendingCount +
-                   PendingDataBytes + PendingExtra.size();
-    uint8_t *P = grab(Total);
+    uint8_t *P = grab(pendingEncodedBytes());
     P = varintEncode(P, PendingCount);
     P = varintEncode(P, PendingDataBytes);
     P = varintEncode(P, PendingExtra.size());
@@ -435,13 +342,10 @@ private:
            PendingDataBytes + PendingExtra.size();
   }
 
-  /// Longest possible v1 record: header byte + two 10-byte varints.
-  static constexpr size_t MaxRecordBytes = 21;
-
   /// Returns a write pointer with at least \p Need bytes of headroom,
-  /// growing the backing storage geometrically. Record paths write
-  /// through the pointer unchecked and then advance Used — this is what
-  /// keeps recording from paying a bounds check per byte.
+  /// growing the backing storage geometrically. flushBlock() writes
+  /// through the pointer unchecked and then advances Used — this is
+  /// what keeps recording from paying a bounds check per byte.
   uint8_t *grab(size_t Need) {
     if (Used + Need > Data.size()) {
       size_t Grown = Data.size() < 2048 ? 4096 : Data.size() * 2;
@@ -458,16 +362,15 @@ private:
     return uint32_t(std::countr_zero(Size)) + 1;
   }
 
-  TraceEncoding Enc = TraceEncoding::V2;
   /// Backing storage; sized with headroom while recording, trimmed (plus
-  /// v2 kernel padding) by seal().
+  /// kernel padding) by seal().
   std::vector<uint8_t> Data;
   /// Encoded bytes written so far (Data.size() is capacity-like).
   size_t Used = 0;
   size_t NumRecords = 0;
   uint64_t PrevAddr = 0;
   bool Sealed = false;
-  // Pending (unflushed) v2 block.
+  // Pending (unflushed) block.
   uint32_t PendingCount = 0;
   uint32_t PendingDataBytes = 0;
   uint8_t PendingCtrl[TraceBlockCap];

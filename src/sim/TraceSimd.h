@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Decode kernels for the ccl-trace v2 blocked encoding (see
-/// sim/TraceBuffer.h). A v2 block separates its per-record control bytes
+/// Decode kernels for the blocked trace encoding (see
+/// sim/TraceBuffer.h). A block separates its per-record control bytes
 /// from a packed data lane of little-endian payloads whose byte widths
 /// (1/2/4/8) live in control-byte bits [6:5]; that separation is what
 /// lets a whole block's payloads decode with table-driven shuffles
-/// instead of the byte-at-a-time varint loop v1 pays per record.
+/// instead of a byte-at-a-time varint loop per record.
 ///
 /// decodeBlockPayloads() runs the process-selected kernel (see
 /// support/SimdDispatch.h): SSSE3 decodes two payloads per 16-byte
@@ -21,7 +21,7 @@
 /// choice can never affect simulation results, only decode speed.
 ///
 /// The vector kernels issue full-width loads at the tail of the data
-/// lane, so sealed v2 buffers are padded with TraceSimdPadBytes readable
+/// lane, so sealed buffers are padded with TraceSimdPadBytes readable
 /// bytes past the last encoded byte (TraceBuffer::seal() guarantees
 /// this; bytes() still reports the unpadded size).
 ///
@@ -42,7 +42,7 @@ namespace ccl::sim {
 /// beyond it.
 inline constexpr size_t TraceSimdPadBytes = 16;
 
-/// Decodes the data lane of one v2 block: \p N control bytes at \p Ctrl
+/// Decodes the data lane of one block: \p N control bytes at \p Ctrl
 /// give the payload widths (bits [6:5], 1 << code bytes); the packed
 /// little-endian payloads start at \p Data. Writes \p N zero-extended
 /// values to \p Out and returns the number of data-lane bytes consumed.

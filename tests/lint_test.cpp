@@ -363,8 +363,9 @@ TEST(FieldsExport, JsonlRoundTripsCounters) {
   EXPECT_EQ(Doc.Schema, "ccl-fields-v1");
   EXPECT_EQ(Doc.Attributed, 4u);
 
-  const obs::FieldsTypeDoc *T = Doc.findType("Probe");
-  ASSERT_NE(T, nullptr);
+  ASSERT_EQ(Doc.Types.size(), 1u);
+  const obs::FieldsTypeDoc *T = &Doc.Types[0];
+  EXPECT_EQ(T->Name, "Probe");
   EXPECT_EQ(T->Size, sizeof(Probe));
   EXPECT_EQ(T->Objects, 2u);
   EXPECT_EQ(T->Accesses, 4u);

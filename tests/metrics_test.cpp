@@ -18,10 +18,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "obs/BenchReader.h"
+#include "obs/Export.h"
 #include "obs/MetricsExport.h"
 #include "support/BuildInfo.h"
 #include "obs/PerfCounters.h"
-#include "obs/TraceReader.h"
 #include "support/Metrics.h"
 #include "support/SweepRunner.h"
 
@@ -160,7 +160,9 @@ TEST(MetricsExport, JsonlRoundTrip) {
   obs::writeMetricsJsonl(Before, F);
   std::rewind(F);
   obs::MetricsDoc Doc;
-  long Parsed = obs::readMetricsFile(F, Doc);
+  long Parsed = json::readJsonl(F, [&](const std::string &Line) {
+    return obs::parseMetricsLine(Line, Doc);
+  });
   std::fclose(F);
   ASSERT_GT(Parsed, 0);
   EXPECT_FALSE(Doc.Binary.empty());
@@ -200,10 +202,11 @@ TEST(MetricsExport, ConcatenatedDumpsAccumulate) {
   EXPECT_EQ(H->Sum, 10u);
   EXPECT_EQ(H->Buckets[3], 1u);
   EXPECT_EQ(H->Buckets[2], 2u);
-  // Unknown kinds and corrupt lines are skipped, not fatal.
-  EXPECT_FALSE(obs::parseMetricsLine(
-      R"({"kind":"future-kind","name":"n"})", Doc));
-  EXPECT_FALSE(obs::parseMetricsLine("not json at all", Doc));
+  // Unknown kinds are skipped; corrupt lines are malformed.
+  EXPECT_EQ(obs::parseMetricsLine(R"({"kind":"future-kind","name":"n"})", Doc)
+                .K,
+            json::LineResult::Kind::Skip);
+  EXPECT_TRUE(obs::parseMetricsLine("not json at all", Doc).malformed());
 }
 
 TEST(MetricsExport, RejectsSignedAndOverflowingCounts) {
@@ -332,24 +335,24 @@ TEST(TraceMeta, MetaLineCarriesCodecStamp) {
       R"("binary":"fig5_tree_microbenchmark","git":"abc123"})",
       V2));
   ASSERT_EQ(V2.RecordKind, obs::TraceRecord::Kind::Meta);
-  EXPECT_EQ(V2.Schema, "ccl-trace-v2");
-  EXPECT_EQ(V2.Simd, "avx2");
-  EXPECT_EQ(V2.TraceBlock, 64u);
+  EXPECT_EQ(V2.Codec.Schema, "ccl-trace-v2");
+  EXPECT_EQ(V2.Codec.Simd, "avx2");
+  EXPECT_EQ(V2.Codec.TraceBlock, 64u);
   EXPECT_EQ(V2.Config.L1BlockBytes, 32u); // v1 fields still read.
   EXPECT_EQ(V2.Config.L2Sets, 2048u);
 
   obs::TraceRecord V1;
   ASSERT_TRUE(obs::parseTraceLine(
       R"({"kind":"meta","schema":"ccl-trace-v1","sample":16})", V1));
-  EXPECT_EQ(V1.Schema, "ccl-trace-v1");
-  EXPECT_TRUE(V1.Simd.empty());
-  EXPECT_EQ(V1.TraceBlock, 0u);
+  EXPECT_EQ(V1.Codec.Schema, "ccl-trace-v1");
+  EXPECT_TRUE(V1.Codec.Simd.empty());
+  EXPECT_EQ(V1.Codec.TraceBlock, 0u);
 
   obs::TraceRecord Bare; // pre-schema dumps: no stamp at all.
   ASSERT_TRUE(obs::parseTraceLine(R"({"kind":"meta","sample":1})", Bare));
-  EXPECT_TRUE(Bare.Schema.empty());
-  EXPECT_TRUE(Bare.Simd.empty());
-  EXPECT_EQ(Bare.TraceBlock, 0u);
+  EXPECT_TRUE(Bare.Codec.Schema.empty());
+  EXPECT_TRUE(Bare.Codec.Simd.empty());
+  EXPECT_EQ(Bare.Codec.TraceBlock, 0u);
 }
 
 TEST(BenchReaderTest, CarriesSimdStamp) {

@@ -16,17 +16,21 @@
 #include "core/ColoredArena.h"
 #include "heap/CcHeap.h"
 #include "obs/Attribution.h"
+#include "obs/BenchReader.h"
 #include "obs/Export.h"
 #include "obs/FieldProfile.h"
+#include "obs/MetricsExport.h"
 #include "obs/Observer.h"
 #include "obs/Region.h"
-#include "obs/TraceReader.h"
 #include "sim/MemoryHierarchy.h"
 #include "support/Arena.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +41,25 @@ using namespace ccl::obs;
 namespace {
 
 uint64_t vaddr(const void *Ptr) { return reinterpret_cast<uint64_t>(Ptr); }
+
+/// Reads a whole trace dump, calling \p Callback for each record.
+template <typename Fn> long readTraceDump(std::FILE *F, Fn &&Callback) {
+  return json::readJsonl(F, [&](const std::string &Line) {
+    TraceRecord Record;
+    json::LineResult R = parseTraceLine(Line, Record);
+    if (R)
+      Callback(Record);
+    return R;
+  });
+}
+
+/// Reads a whole metrics dump into \p Doc.
+long readMetricsDump(std::FILE *F, MetricsDoc &Doc,
+                     std::string *Error = nullptr) {
+  return json::readJsonl(
+      F, [&](const std::string &Line) { return parseMetricsLine(Line, Doc); },
+      Error);
+}
 
 std::string slurp(std::FILE *F) {
   std::string Content;
@@ -323,7 +346,7 @@ TEST(TraceSink, SamplesEveryNthEvent) {
   std::rewind(F);
   unsigned AccessRecords = 0, MetaRecords = 0, PrefetchRecords = 0;
   uint64_t Sample = 0;
-  long Parsed = readTraceFile(F, [&](const TraceRecord &Record) {
+  long Parsed = readTraceDump(F, [&](const TraceRecord &Record) {
     switch (Record.RecordKind) {
     case TraceRecord::Kind::Access:
       ++AccessRecords;
@@ -383,7 +406,7 @@ TEST(TraceExport, JsonlRoundTripRebuildsIdenticalProfile) {
   // is reused, so trace region ids need no remapping.
   std::rewind(F);
   std::unique_ptr<AttributionSink> Replayed;
-  long Parsed = readTraceFile(F, [&](const TraceRecord &Record) {
+  long Parsed = readTraceDump(F, [&](const TraceRecord &Record) {
     switch (Record.RecordKind) {
     case TraceRecord::Kind::Meta:
       Replayed = std::make_unique<AttributionSink>(Registry, Record.Config);
@@ -490,44 +513,51 @@ TEST(MultiObserver, FansOutInAttachOrder) {
 
 TEST(TraceReader, RejectsSignedAndOverflowingNumbers) {
   TraceRecord Record;
-  // A required unsigned field that is negative or out of range fails
-  // the line instead of wrapping to 2^64 - 1 or saturating.
-  EXPECT_FALSE(parseTraceLine("{\"kind\":\"region\",\"id\":-1}", Record));
-  EXPECT_FALSE(parseTraceLine(
-      "{\"kind\":\"region\",\"id\":18446744073709551616}", Record));
-  // An optional one is ignored, leaving its default.
-  ASSERT_TRUE(parseTraceLine(
-      "{\"kind\":\"a\",\"now\":-5,\"va\":99999999999999999999,"
-      "\"lvl\":\"l1\"}",
-      Record));
-  EXPECT_EQ(Record.Access.Now, 0u);
-  EXPECT_EQ(Record.Access.VAddr, 0u);
-  ASSERT_TRUE(parseTraceLine("{\"kind\":\"meta\",\"sample\":-16}", Record));
-  EXPECT_EQ(Record.SampleInterval, 1u);
+  // An unsigned field that is negative or out of range fails the line
+  // instead of wrapping to 2^64 - 1, saturating, or (for an optional
+  // field) silently keeping its default.
+  EXPECT_TRUE(parseTraceLine("{\"kind\":\"region\",\"id\":-1}", Record)
+                  .malformed());
+  EXPECT_TRUE(parseTraceLine(
+                  "{\"kind\":\"region\",\"id\":18446744073709551616}", Record)
+                  .malformed());
+  json::LineResult Now =
+      parseTraceLine("{\"kind\":\"a\",\"now\":-5,\"lvl\":\"l1\"}", Record);
+  EXPECT_TRUE(Now.malformed());
+  EXPECT_EQ(Now.Reason, "now: negative");
+  EXPECT_TRUE(parseTraceLine("{\"kind\":\"a\",\"va\":99999999999999999999,"
+                             "\"lvl\":\"l1\"}",
+                             Record)
+                  .malformed());
+  EXPECT_TRUE(
+      parseTraceLine("{\"kind\":\"meta\",\"sample\":-16}", Record).malformed());
 }
 
-TEST(FieldProfileReader, IgnoresSignedAndOverflowingNumbers) {
+TEST(FieldProfileReader, RejectsSignedAndOverflowingNumbers) {
   FieldsDoc Doc;
-  ASSERT_TRUE(parseFieldsLine(
-      "{\"kind\":\"meta\",\"attributed\":-7,"
-      "\"unattributed\":18446744073709551616}",
-      Doc));
-  EXPECT_EQ(Doc.Attributed, 0u);
-  EXPECT_EQ(Doc.Unattributed, 0u);
-  ASSERT_TRUE(parseFieldsLine(
-      "{\"kind\":\"type\",\"name\":\"T\",\"size\":-8,"
-      "\"accesses\":18446744073709551615}",
-      Doc));
+  EXPECT_TRUE(
+      parseFieldsLine("{\"kind\":\"meta\",\"attributed\":-7}", Doc).malformed());
+  EXPECT_TRUE(parseFieldsLine("{\"kind\":\"meta\","
+                              "\"unattributed\":18446744073709551616}",
+                              Doc)
+                  .malformed());
+  EXPECT_TRUE(
+      parseFieldsLine("{\"kind\":\"type\",\"name\":\"T\",\"size\":-8}", Doc)
+          .malformed());
+  EXPECT_TRUE(Doc.Types.empty());
+  ASSERT_TRUE(parseFieldsLine("{\"kind\":\"type\",\"name\":\"T\",\"size\":8,"
+                              "\"accesses\":18446744073709551615}",
+                              Doc));
   ASSERT_EQ(Doc.Types.size(), 1u);
-  EXPECT_EQ(Doc.Types[0].Size, 0u);
   EXPECT_EQ(Doc.Types[0].Accesses, ~uint64_t(0));
 }
 
 TEST(TraceReader, ParsesRecordsAndSkipsJunk) {
   TraceRecord Record;
-  EXPECT_FALSE(parseTraceLine("", Record));
-  EXPECT_FALSE(parseTraceLine("not json", Record));
-  EXPECT_FALSE(parseTraceLine("{\"kind\":\"future-thing\"}", Record));
+  EXPECT_EQ(parseTraceLine("", Record).K, json::LineResult::Kind::Skip);
+  EXPECT_EQ(parseTraceLine("{\"kind\":\"future-thing\"}", Record).K,
+            json::LineResult::Kind::Skip);
+  EXPECT_TRUE(parseTraceLine("not json", Record).malformed());
 
   ASSERT_TRUE(parseTraceLine(
       "{\"kind\":\"a\",\"now\":100,\"va\":4096,\"pa\":8192,\"sz\":8,"
@@ -563,4 +593,221 @@ TEST(TraceReader, ParsesRecordsAndSkipsJunk) {
   EXPECT_EQ(Record.Evict.Level, 2u);
   EXPECT_EQ(Record.Evict.MappedBlockAddr, 320u);
   EXPECT_TRUE(Record.Evict.Writeback);
+}
+
+//===----------------------------------------------------------------------===//
+// The shared reader policy (support/Json.h), run through all four
+// readers: ccl-trace, ccl-metrics, ccl-fields and ccl-bench-v1.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using Outcome = json::LineResult::Kind;
+constexpr Outcome Rec = Outcome::Record;
+constexpr Outcome Skip = Outcome::Skip;
+constexpr Outcome Bad = Outcome::Malformed;
+
+/// One reader under test. Its line is Head, a string member StrKey, a
+/// number member NumKey (a required unsigned field, except in
+/// ccl-bench-v1 whose result fields are plain numbers), then Tail.
+/// Read() parses one line, reporting the outcome and the string it
+/// read back.
+struct ReaderFormat {
+  const char *Name;
+  const char *Head;
+  const char *KindText; ///< The token the unknown-kind case replaces.
+  const char *StrKey;
+  const char *NumKey;
+  const char *Tail;
+  Outcome (*Read)(const std::string &Line, std::string &Str);
+};
+
+Outcome readTrace(const std::string &Line, std::string &Str) {
+  TraceRecord Record;
+  json::LineResult R = parseTraceLine(Line, Record);
+  Str = Record.Region.Name;
+  return R.K;
+}
+
+Outcome readMetrics(const std::string &Line, std::string &Str) {
+  MetricsDoc Doc;
+  json::LineResult R = parseMetricsLine(Line, Doc);
+  Str = Doc.Data.Counters.empty() ? "" : Doc.Data.Counters[0].Name;
+  return R.K;
+}
+
+Outcome readFields(const std::string &Line, std::string &Str) {
+  FieldsDoc Doc;
+  json::LineResult R = parseFieldsLine(Line, Doc);
+  Str = Doc.Types.empty() ? "" : Doc.Types[0].Name;
+  return R.K;
+}
+
+Outcome readBench(const std::string &Text, std::string &Str) {
+  BenchDoc Doc;
+  if (!parseBenchJson(Text, Doc))
+    return Bad;
+  const BenchResultRecord &R = Doc.Results.at(0);
+  bool Ok = true;
+  if (R.has("searches"))
+    R.num("searches", &Ok);
+  Str = R.str("name");
+  return Ok ? Rec : Bad;
+}
+
+const ReaderFormat Formats[] = {
+    {"trace", R"({"kind":"region")", R"("region")", "name", "id", "}",
+     readTrace},
+    {"metrics", R"({"kind":"c")", R"("c")", "name", "v", "}", readMetrics},
+    {"fields", R"({"kind":"type")", R"("type")", "name", "size", "}",
+     readFields},
+    {"bench",
+     R"({"schema":"ccl-bench-v1","bench":"b","results":[{"section":"s")",
+     R"("ccl-bench-v1")", "name", "searches", "}]}", readBench},
+};
+
+enum class Edit { None, Truncate, AppendText, DropNumber, UnknownKind,
+                  UnknownField, Blank };
+
+std::string buildLine(const ReaderFormat &F, const std::string &Num,
+                      const std::string &Str, Edit E) {
+  if (E == Edit::Blank)
+    return "  ";
+  std::string Line = F.Head;
+  if (E == Edit::UnknownKind)
+    Line.replace(Line.find(F.KindText), std::strlen(F.KindText),
+                 "\"future-thing\"");
+  if (E == Edit::UnknownField)
+    Line += R"(,"zz_future":[1,{"a":"b"}])";
+  Line += std::string(",\"") + F.StrKey + "\":" + Str;
+  if (E != Edit::DropNumber)
+    Line += std::string(",\"") + F.NumKey + "\":" + Num;
+  Line += F.Tail;
+  if (E == Edit::Truncate)
+    Line.pop_back();
+  if (E == Edit::AppendText)
+    Line += " x";
+  return Line;
+}
+
+struct PolicyCase {
+  const char *Label;
+  const char *Num;
+  const char *Str;
+  Edit E;
+  Outcome Expect[4]; ///< trace, metrics, fields, bench
+};
+
+const PolicyCase PolicyCases[] = {
+    {"valid", "7", R"("n")", Edit::None, {Rec, Rec, Rec, Rec}},
+    {"negative", "-1", R"("n")", Edit::None, {Bad, Bad, Bad, Rec}},
+    {"plus sign", "+1", R"("n")", Edit::None, {Bad, Bad, Bad, Bad}},
+    {"overflow", "18446744073709551616", R"("n")", Edit::None,
+     {Bad, Bad, Bad, Rec}},
+    {"fraction", "1.5", R"("n")", Edit::None, {Bad, Bad, Bad, Rec}},
+    {"exponent", "1e3", R"("n")", Edit::None, {Bad, Bad, Bad, Rec}},
+    {"trailing text", "12abc", R"("n")", Edit::None, {Bad, Bad, Bad, Bad}},
+    {"truncated", "7", R"("n")", Edit::Truncate, {Bad, Bad, Bad, Bad}},
+    {"text after the object", "7", R"("n")", Edit::AppendText,
+     {Bad, Bad, Bad, Bad}},
+    {"unterminated string", "7", R"("n)", Edit::None, {Bad, Bad, Bad, Bad}},
+    {"bad escape", "7", R"("a\qb")", Edit::None, {Bad, Bad, Bad, Bad}},
+    {"raw control character", "7", "\"a\tb\"", Edit::None,
+     {Bad, Bad, Bad, Bad}},
+    {"key text inside a string", "7",
+     R"("\"id\":7,\"v\":7,\"size\":7")", Edit::DropNumber,
+     {Bad, Bad, Bad, Rec}},
+    {"string where a number belongs", R"("7")", R"("n")", Edit::None,
+     {Bad, Bad, Bad, Bad}},
+    {"number where a string belongs", "7", "7", Edit::None,
+     {Bad, Bad, Bad, Rec}},
+    {"missing required field", "7", R"("n")", Edit::DropNumber,
+     {Bad, Bad, Bad, Rec}},
+    {"unknown kind", "7", R"("n")", Edit::UnknownKind,
+     {Skip, Skip, Skip, Bad}},
+    {"unknown field", "7", R"("n")", Edit::UnknownField,
+     {Rec, Rec, Rec, Rec}},
+    {"blank line", "7", R"("n")", Edit::Blank, {Skip, Skip, Skip, Bad}},
+};
+
+} // namespace
+
+TEST(JsonReaders, MalformedInputTableThroughEveryReader) {
+  for (const PolicyCase &C : PolicyCases) {
+    for (size_t I = 0; I < std::size(Formats); ++I) {
+      const ReaderFormat &F = Formats[I];
+      std::string Line = buildLine(F, C.Num, C.Str, C.E);
+      SCOPED_TRACE(std::string(C.Label) + " / " + F.Name + ": " + Line);
+      std::string Str;
+      EXPECT_EQ(int(F.Read(Line, Str)), int(C.Expect[I]));
+    }
+  }
+}
+
+TEST(JsonReaders, EscapedNamesRoundTripThroughEveryReader) {
+  // Every byte 0x01-0x7f, quote and backslash included, written through
+  // json::escape must read back byte for byte.
+  std::string Name;
+  for (int C = 0x01; C <= 0x7f; ++C)
+    Name += char(C);
+  Name += "\"\\";
+  std::string Quoted = "\"";
+  Quoted += json::escape(Name) + "\"";
+  for (const ReaderFormat &F : Formats) {
+    SCOPED_TRACE(F.Name);
+    std::string Str;
+    ASSERT_EQ(int(F.Read(buildLine(F, "7", Quoted, Edit::None), Str)),
+              int(Rec));
+    EXPECT_EQ(Str, Name);
+  }
+  // The field name of a ccl-fields "f" line goes through the same path.
+  FieldsDoc Doc;
+  ASSERT_TRUE(parseFieldsLine(R"({"kind":"type","name":"T","size":8})", Doc));
+  ASSERT_TRUE(parseFieldsLine(
+      R"({"kind":"f","type":"T","field":)" + Quoted + "}", Doc));
+  ASSERT_EQ(Doc.Types[0].Fields.size(), 1u);
+  EXPECT_EQ(Doc.Types[0].Fields[0].Name, Name);
+}
+
+TEST(JsonReaders, ReadStopsAtFirstMalformedLineWithItsNumber) {
+  std::FILE *F = std::tmpfile();
+  ASSERT_NE(F, nullptr);
+  std::fputs("{\"kind\":\"meta\",\"schema\":\"ccl-metrics-v1\"}\n"
+             "\n"
+             "{\"kind\":\"c\",\"name\":\"a\",\"v\":1}\n"
+             "{\"kind\":\"c\",\"name\":\"b\",\"v\":-1}\n"
+             "{\"kind\":\"c\",\"name\":\"c\",\"v\":1}",
+             F);
+  std::rewind(F);
+  MetricsDoc Doc;
+  std::string Error;
+  EXPECT_EQ(readMetricsDump(F, Doc, &Error), -1);
+  EXPECT_EQ(Error, "4: v: negative");
+  ASSERT_EQ(Doc.Data.Counters.size(), 1u);
+  EXPECT_EQ(Doc.Data.Counters[0].Name, "a");
+
+  // A NUL byte inside a line reaches the parser instead of cutting the
+  // line short.
+  std::FILE *Nul = std::tmpfile();
+  ASSERT_NE(Nul, nullptr);
+  const char WithNul[] = "{\"kind\":\"c\",\"name\":\"a\0\",\"v\":1}\n";
+  std::fwrite(WithNul, 1, sizeof(WithNul) - 1, Nul);
+  std::rewind(Nul);
+  MetricsDoc NulDoc;
+  EXPECT_EQ(readMetricsDump(Nul, NulDoc, &Error), -1);
+  EXPECT_EQ(Error, "1: control character in string");
+  std::fclose(Nul);
+
+  // A last line without a newline is still read.
+  std::FILE *Good = std::tmpfile();
+  ASSERT_NE(Good, nullptr);
+  std::fputs("{\"kind\":\"c\",\"name\":\"a\",\"v\":1}\n"
+             "{\"kind\":\"c\",\"name\":\"a\",\"v\":2}",
+             Good);
+  std::rewind(Good);
+  MetricsDoc Summed;
+  EXPECT_EQ(readMetricsDump(Good, Summed), 2);
+  EXPECT_EQ(Summed.Data.Counters.at(0).Value, 3u);
+  std::fclose(Good);
+  std::fclose(F);
 }

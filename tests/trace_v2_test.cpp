@@ -4,12 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The ccl-trace v2 contract: the blocked control/data-lane encoding
-// stores exactly the same record stream as v1, every decode kernel
-// (scalar, SSSE3, AVX2) produces identical payloads, and replay results
-// — whole, prefix, or phased — are bit-identical to a v1 replay of the
-// same recording. This suite locks each of those properties down with
-// randomized streams and adversarial block-boundary lengths.
+// The blocked trace codec's contract: decoding returns exactly the
+// recorded stream, every decode kernel (scalar, SSSE3, AVX2) produces
+// identical payloads, and replay results — whole, prefix, or phased —
+// are bit-identical to a live run over the same records. This suite
+// locks each of those properties down with randomized streams and
+// adversarial block-boundary lengths.
 //
 //===----------------------------------------------------------------------===//
 
@@ -142,20 +142,19 @@ std::vector<RawRecord> randomStream(uint64_t Seed, size_t Length) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Round-trip and cross-encoding equivalence.
+// Round trips.
 //===----------------------------------------------------------------------===//
 
 TEST(TraceV2, ArbitraryStreamsRoundTripExactly) {
   for (uint64_t Seed = 1; Seed <= 32; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     std::vector<RawRecord> Stream = randomStream(Seed, 500);
-    TraceBuffer Buf(TraceEncoding::V2);
+    TraceBuffer Buf;
     for (const RawRecord &R : Stream)
       record(Buf, R);
     EXPECT_EQ(Buf.records(), Stream.size());
     Buf.seal();
     ASSERT_TRUE(Buf.sealed());
-    EXPECT_EQ(Buf.encodingVersion(), TraceEncoding::V2);
 
     expectDecodesTo(Buf.view(), Stream, Stream.size());
     for (size_t Count : {size_t(0), size_t(1), Stream.size() / 2,
@@ -172,7 +171,7 @@ TEST(TraceV2, BlockBoundaryLengthsRoundTrip) {
                         size_t(127), size_t(128), size_t(129)}) {
     SCOPED_TRACE("length " + std::to_string(Length));
     std::vector<RawRecord> Stream = randomStream(0xB10C + Length, Length);
-    TraceBuffer Buf(TraceEncoding::V2);
+    TraceBuffer Buf;
     for (const RawRecord &R : Stream)
       record(Buf, R);
     Buf.seal();
@@ -215,46 +214,17 @@ TEST(TraceV2, PayloadWidthEdgesRoundTrip) {
         ~uint64_t(0)})
     Stream.push_back({TraceRecord::Kind::Tick, 0, Cycles});
 
-  TraceBuffer Buf(TraceEncoding::V2);
+  TraceBuffer Buf;
   for (const RawRecord &R : Stream)
     record(Buf, R);
   Buf.seal();
   expectDecodesTo(Buf.view(), Stream, Stream.size());
 }
 
-TEST(TraceV2, DecodesIdenticallyToV1) {
-  // The two encodings must store the same record stream: decode both
-  // and compare record for record, batch boundaries ignored.
-  for (uint64_t Seed : {uint64_t(7), uint64_t(42), uint64_t(0xCC)}) {
-    SCOPED_TRACE("seed " + std::to_string(Seed));
-    std::vector<RawRecord> Stream = randomStream(Seed, 2000);
-    TraceBuffer V1(TraceEncoding::V1), V2(TraceEncoding::V2);
-    for (const RawRecord &R : Stream) {
-      record(V1, R);
-      record(V2, R);
-    }
-    V1.seal();
-    V2.seal();
-    EXPECT_EQ(V1.records(), V2.records());
-
-    TraceCursor C1(V1.view()), C2(V2.view());
-    TraceRecord A, B;
-    size_t I = 0;
-    while (C1.next(A)) {
-      SCOPED_TRACE("record " + std::to_string(I++));
-      ASSERT_TRUE(C2.next(B));
-      EXPECT_EQ(A.K, B.K);
-      EXPECT_EQ(A.Addr, B.Addr);
-      EXPECT_EQ(A.Arg, B.Arg);
-    }
-    EXPECT_FALSE(C2.next(B));
-  }
-}
-
 TEST(TraceV2, CompactnessHoldsOnPointerChase) {
   // The blocked layout must keep the compactness property recordings
   // rely on: a realistic chase stays well under raw MemAccess size.
-  TraceBuffer Buf(TraceEncoding::V2);
+  TraceBuffer Buf;
   Lcg Rng(0xC0FFEEULL);
   const uint64_t Base = 0x7f1200000000ULL;
   for (unsigned I = 0; I < 100000; ++I) {
@@ -330,11 +300,11 @@ TEST(TraceSimdKernels, EnvNameRoundTrip) {
 }
 
 TEST(TraceV2, BatchDecodeMatchesSingleStepping) {
-  // nextBatch must produce the same stream as next(), and a v2 batch
+  // nextBatch must produce the same stream as next(), and a batch
   // never crosses a block boundary (so pipelined replay batches align
   // with kernel-decoded blocks after the first call).
   std::vector<RawRecord> Stream = randomStream(0xBA7C4, 1000);
-  TraceBuffer Buf(TraceEncoding::V2);
+  TraceBuffer Buf;
   for (const RawRecord &R : Stream)
     record(Buf, R);
   Buf.seal();
@@ -362,7 +332,7 @@ TEST(TraceV2, BatchDecodeMatchesSingleStepping) {
 }
 
 //===----------------------------------------------------------------------===//
-// Replay parity: v2 replays must be bit-identical to v1 replays.
+// Replay parity: replays must be bit-identical to a live run.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -393,10 +363,10 @@ void expectSame(const Snapshot &A, const Snapshot &B,
     EXPECT_EQ(A[I], B[I]) << "counter " << I;
 }
 
-/// A mixed simulation trace recorded into \p Enc: ticks, pointer-chase
+/// A mixed simulation stream: ticks, software prefetches, pointer-chase
 /// and random reads/writes of assorted (also block-spanning) sizes.
-TraceBuffer mixedTrace(TraceEncoding Enc, uint64_t Seed, size_t Records) {
-  TraceBuffer Buf(Enc);
+std::vector<RawRecord> mixedTrace(uint64_t Seed, size_t Records) {
+  std::vector<RawRecord> Ops;
   Lcg Rng(Seed);
   const uint64_t Base = 0x7f0000000000ULL + (Seed & 0xFFF) * 4096;
   const uint64_t Span = 8ULL << 20;
@@ -405,7 +375,11 @@ TraceBuffer mixedTrace(TraceEncoding Enc, uint64_t Seed, size_t Records) {
   for (size_t I = 0; I < Records; ++I) {
     uint64_t Roll = Rng.bounded(100);
     if (Roll < 5) {
-      Buf.recordTick(1 + Rng.bounded(20));
+      Ops.push_back({TraceRecord::Kind::Tick, 0, 1 + Rng.bounded(20)});
+      continue;
+    }
+    if (Roll < 8) {
+      Ops.push_back({TraceRecord::Kind::Prefetch, Base + Node * 64, 0});
       continue;
     }
     uint64_t Addr;
@@ -416,58 +390,88 @@ TraceBuffer mixedTrace(TraceEncoding Enc, uint64_t Seed, size_t Records) {
       Addr = Base + Rng.bounded(Span);
     }
     uint64_t Size = Sizes[Rng.bounded(sizeof(Sizes) / sizeof(Sizes[0]))];
-    if (Roll % 4 == 3)
-      Buf.recordWrite(Addr, Size);
-    else
-      Buf.recordRead(Addr, Size);
+    Ops.push_back({Roll % 4 == 3 ? TraceRecord::Kind::Write
+                                 : TraceRecord::Kind::Read,
+                   Addr, Size});
   }
+  return Ops;
+}
+
+TraceBuffer recordAll(const std::vector<RawRecord> &Ops) {
+  TraceBuffer Buf;
+  for (const RawRecord &R : Ops)
+    record(Buf, R);
   Buf.seal();
   return Buf;
 }
 
+/// Drives records [From, From + Count) of \p Ops through the live
+/// access API.
+void driveLive(MemoryHierarchy &M, const std::vector<RawRecord> &Ops,
+               size_t From, size_t Count) {
+  for (size_t I = From; I < From + Count; ++I) {
+    const RawRecord &R = Ops[I];
+    switch (R.K) {
+    case TraceRecord::Kind::Read:
+      M.read(R.Addr, R.Arg);
+      break;
+    case TraceRecord::Kind::Write:
+      M.write(R.Addr, R.Arg);
+      break;
+    case TraceRecord::Kind::Prefetch:
+      M.prefetch(R.Addr);
+      break;
+    case TraceRecord::Kind::Tick:
+      M.tick(R.Arg);
+      break;
+    }
+  }
+}
+
 } // namespace
 
-TEST(TraceV2Replay, SerialParityWithV1BothPresets) {
-  TraceBuffer V1 = mixedTrace(TraceEncoding::V1, 0x909, 80000);
-  TraceBuffer V2 = mixedTrace(TraceEncoding::V2, 0x909, 80000);
-  ASSERT_EQ(V1.records(), V2.records());
+TEST(TraceV2Replay, SerialParityWithLiveRunBothPresets) {
+  std::vector<RawRecord> Ops = mixedTrace(0x909, 80000);
+  TraceBuffer Buf = recordAll(Ops);
+  ASSERT_EQ(Buf.records(), Ops.size());
   for (const char *Preset : {"e5000", "rsim"}) {
     HierarchyConfig Config = std::string(Preset) == "e5000"
                                  ? HierarchyConfig::ultraSparcE5000()
                                  : HierarchyConfig::rsimTable1();
-    MemoryHierarchy A(Config), B(Config);
-    A.replay(V1.view());
-    B.replay(V2.view());
-    expectSame(snap(A), snap(B), Preset);
+    MemoryHierarchy Live(Config), Replayed(Config);
+    driveLive(Live, Ops, 0, Ops.size());
+    Replayed.replay(Buf.view());
+    expectSame(snap(Live), snap(Replayed), Preset);
   }
 }
 
-TEST(TraceV2Replay, PrefixAndPhasedReplaysMatchV1) {
-  TraceBuffer V1 = mixedTrace(TraceEncoding::V1, 0xFA5E, 50000);
-  TraceBuffer V2 = mixedTrace(TraceEncoding::V2, 0xFA5E, 50000);
+TEST(TraceV2Replay, PrefixAndPhasedReplaysMatchLiveRun) {
+  std::vector<RawRecord> Ops = mixedTrace(0xFA5E, 50000);
+  TraceBuffer Buf = recordAll(Ops);
   HierarchyConfig Config = HierarchyConfig::ultraSparcE5000();
-  size_t N = V2.records();
+  size_t N = Buf.records();
 
   for (size_t Count : {size_t(1), size_t(63), size_t(64), N / 3, N}) {
-    MemoryHierarchy A(Config), B(Config);
-    A.replay(V1.prefix(Count));
-    B.replay(V2.prefix(Count));
-    expectSame(snap(A), snap(B), "prefix " + std::to_string(Count));
+    MemoryHierarchy Live(Config), Replayed(Config);
+    driveLive(Live, Ops, 0, Count);
+    Replayed.replay(Buf.prefix(Count));
+    expectSame(snap(Live), snap(Replayed), "prefix " + std::to_string(Count));
   }
 
   // Phased consumption through bounded replay(cursor, n) calls, with
-  // chunk sizes that repeatedly split v2 blocks.
-  MemoryHierarchy A(Config), B(Config);
-  TraceCursor CursorA(V1.view()), CursorB(V2.view());
+  // chunk sizes that repeatedly split blocks.
+  MemoryHierarchy Live(Config), Replayed(Config);
+  TraceCursor Cursor(Buf.view());
+  size_t Done = 0;
   for (size_t Chunk : {size_t(1), size_t(63), size_t(64), size_t(65),
                        size_t(1000)}) {
-    A.replay(CursorA, Chunk);
-    B.replay(CursorB, Chunk);
-    expectSame(snap(A), snap(B), "chunk " + std::to_string(Chunk));
+    driveLive(Live, Ops, Done, Chunk);
+    Replayed.replay(Cursor, Chunk);
+    Done += Chunk;
+    expectSame(snap(Live), snap(Replayed), "chunk " + std::to_string(Chunk));
   }
-  while (!CursorA.done())
-    A.replay(CursorA, 4096);
-  while (!CursorB.done())
-    B.replay(CursorB, 4096);
-  expectSame(snap(A), snap(B), "phased tail");
+  driveLive(Live, Ops, Done, N - Done);
+  while (!Cursor.done())
+    Replayed.replay(Cursor, 4096);
+  expectSame(snap(Live), snap(Replayed), "phased tail");
 }

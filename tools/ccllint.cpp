@@ -230,8 +230,9 @@ int main(int argc, char **argv) {
 
   if (!FieldsPath.empty()) {
     obs::FieldsDoc Doc;
-    if (!obs::readFieldsFile(FieldsPath.c_str(), Doc)) {
-      std::fprintf(stderr, "ccl-lint: cannot read %s\n", FieldsPath.c_str());
+    std::string Error;
+    if (!obs::readFieldsFile(FieldsPath.c_str(), Doc, &Error)) {
+      std::fprintf(stderr, "%s\n", Error.c_str());
       return 66;
     }
     Profile.addFromDoc(Doc);

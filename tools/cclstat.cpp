@@ -17,10 +17,14 @@
 //   cclstat --csv profile.csv trace.jsonl
 //   cclstat --chrome trace.chrome.json trace.jsonl   # chrome://tracing
 //
-// The input format is auto-detected from the first line: a
+// The input format comes from the first line's meta "schema": a
 // ccl-metrics-v1 dump (as written by `--metrics <path>` on the bench
 // binaries) renders the runtime-metrics report instead — --json then
-// re-renders as ccl-metrics-summary-v1, --chrome as span trace events.
+// re-renders as ccl-metrics-summary-v1, --chrome as span trace events —
+// and a ccl-fields-v1 dump the per-field affinity table.
+//
+// Every dump is read strictly (support/Json.h): the first malformed
+// line is reported as `<path>:<line>: <reason>` and cclstat exits 1.
 //
 //   cclstat --bench bench.json          # sim-vs-hardware divergence
 //                                       # table from a ccl-bench-v1
@@ -36,7 +40,7 @@
 #include "obs/FieldProfile.h"
 #include "obs/MetricsExport.h"
 #include "obs/Region.h"
-#include "obs/TraceReader.h"
+#include "support/Json.h"
 #include "support/TablePrinter.h"
 
 #include <algorithm>
@@ -44,6 +48,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,19 +78,6 @@ int usage(const char *Prog) {
   return 2;
 }
 
-/// Reads one (possibly long) line including its newline; false at EOF
-/// with nothing read.
-bool readLine(std::FILE *In, std::string &Out) {
-  Out.clear();
-  char Buf[4096];
-  while (std::fgets(Buf, sizeof(Buf), In)) {
-    Out += Buf;
-    if (!Out.empty() && Out.back() == '\n')
-      return true;
-  }
-  return !Out.empty();
-}
-
 /// A compact per-row label for a bench result: the distinguishing
 /// sweep fields the figure benches emit.
 std::string benchRowLabel(const BenchResultRecord &R) {
@@ -95,13 +87,11 @@ std::string benchRowLabel(const BenchResultRecord &R) {
     if (!V.empty())
       Label += (Label.empty() ? "" : " ") + V;
   }
-  if (R.has("searches")) {
-    bool Ok = false;
-    double N = R.num("searches", &Ok);
-    if (Ok)
-      Label += (Label.empty() ? "n=" : " n=") +
-               TablePrinter::fmtInt(uint64_t(N));
-  }
+  bool Ok = false;
+  double N = R.num("searches", &Ok);
+  if (Ok)
+    Label += (Label.empty() ? "n=" : " n=") +
+             TablePrinter::fmtInt(uint64_t(N));
   return Label;
 }
 
@@ -114,10 +104,9 @@ std::string benchRowLabel(const BenchResultRecord &R) {
 /// signal, not an error bar.
 int printBenchDivergence(const std::string &Path) {
   BenchDoc Doc;
-  if (!readBenchFile(Path, Doc)) {
-    std::fprintf(stderr,
-                 "cclstat: %s is not a readable ccl-bench-v1 document\n",
-                 Path.c_str());
+  std::string Error;
+  if (!readBenchFile(Path, Doc, &Error)) {
+    std::fprintf(stderr, "%s: %s\n", Path.c_str(), Error.c_str());
     return 1;
   }
   std::printf("%s: bench %s (%s%s%s%s), %zu results\n", Path.c_str(),
@@ -178,6 +167,21 @@ int printBenchDivergence(const std::string &Path) {
               "host, so expect systematic offsets):\n");
   Table.print();
   return 0;
+}
+
+/// The JSONL flavours cclstat renders.
+enum class DumpKind { Trace, Metrics, Fields };
+
+/// The flavour named by a meta line's "schema"; anything else,
+/// including no schema at all, is a trace.
+DumpKind dumpKindOf(const ccl::json::Value &Meta) {
+  std::string Schema;
+  ccl::json::FieldReader(Meta).str("schema", Schema);
+  if (Schema == "ccl-metrics-v1")
+    return DumpKind::Metrics;
+  if (Schema == "ccl-fields-v1")
+    return DumpKind::Fields;
+  return DumpKind::Trace;
 }
 
 /// Per-type field-affinity tables from a ccl-fields-v1 dump (as written
@@ -252,7 +256,7 @@ public:
     std::fprintf(Out,
                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
                  "\"tid\":%" PRIu32 ",\"args\":{\"name\":\"%s\"}}",
-                 Region, jsonEscape(Label).c_str());
+                 Region, ccl::json::escape(Label).c_str());
   }
 
   void access(const AccessEvent &E, uint32_t Region) {
@@ -350,121 +354,32 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "cclstat: cannot open %s\n", TracePath.c_str());
     return 1;
   }
-
-  // Auto-detect the dump flavour from the first line so `--metrics`
-  // output renders without a separate subcommand. The consumed line is
-  // fed to whichever reader wins.
-  std::string FirstLine;
-  bool HasFirst = readLine(In, FirstLine);
-  if (HasFirst && FirstLine.find("\"ccl-fields-v1\"") != std::string::npos) {
-    FieldsDoc Doc;
-    long Parsed = parseFieldsLine(FirstLine, Doc) ? 1 : 0;
-    std::string Line;
-    while (readLine(In, Line))
-      if (parseFieldsLine(Line, Doc))
-        ++Parsed;
-    if (In != stdin)
-      std::fclose(In);
-    if (Parsed <= 0 || Doc.Types.empty()) {
-      std::fprintf(stderr, "cclstat: no parseable records in %s\n",
-                   TracePath.c_str());
-      return 1;
-    }
-    if (!Quiet) {
-      std::printf("%s: %ld field-profile records", TracePath.c_str(),
-                  Parsed);
-      if (!Doc.Binary.empty())
-        std::printf(" from %s (%s)", Doc.Binary.c_str(), Doc.Git.c_str());
-      std::printf("\n");
-      if (Doc.Attributed + Doc.Unattributed > 0)
-        std::printf("attributed %s / unattributed %s events\n",
-                    TablePrinter::fmtInt(Doc.Attributed).c_str(),
-                    TablePrinter::fmtInt(Doc.Unattributed).c_str());
-      std::printf("\n");
-      printFieldsReport(Doc);
-    }
-    if (!JsonPath.empty() || !CsvPath.empty() || !ChromePath.empty())
-      std::fprintf(stderr, "cclstat: --json/--csv/--chrome are not "
-                           "supported for field-profile dumps\n");
-    return 0;
-  }
-  if (HasFirst && FirstLine.find("\"ccl-metrics-v1\"") != std::string::npos) {
-    MetricsDoc Doc;
-    long Parsed = parseMetricsLine(FirstLine, Doc) ? 1 : 0;
-    Parsed += readMetricsFile(In, Doc);
-    if (In != stdin)
-      std::fclose(In);
-    if (Parsed <= 0) {
-      std::fprintf(stderr, "cclstat: no parseable records in %s\n",
-                   TracePath.c_str());
-      return 1;
-    }
-    if (!Quiet) {
-      std::printf("%s: %ld metrics records", TracePath.c_str(), Parsed);
-      if (!Doc.Binary.empty())
-        std::printf(" from %s (%s)", Doc.Binary.c_str(), Doc.Git.c_str());
-      if (!Doc.Simd.empty())
-        std::printf(" [simd %s]", Doc.Simd.c_str());
-      std::printf("\n\n");
-      printMetricsReport(Doc, stdout);
-    }
-    if (!CsvPath.empty())
-      std::fprintf(stderr,
-                   "cclstat: --csv is not supported for metrics dumps\n");
-    if (!JsonPath.empty()) {
-      std::FILE *Out = openOut(JsonPath);
-      if (!Out)
-        return 1;
-      writeMetricsSummaryJson(Doc, Out);
-      closeOut(Out);
-    }
-    if (!ChromePath.empty()) {
-      std::FILE *Out = openOut(ChromePath);
-      if (!Out)
-        return 1;
-      writeMetricsChrome(Doc, Out);
-      closeOut(Out);
-    }
-    return 0;
-  }
-
   std::FILE *ChromeFile = nullptr;
-  std::unique_ptr<ChromeWriter> Chrome;
-  if (!ChromePath.empty()) {
-    ChromeFile = openOut(ChromePath);
-    if (!ChromeFile)
-      return 1;
-    Chrome = std::make_unique<ChromeWriter>(ChromeFile);
-  }
+  if (!ChromePath.empty() && !(ChromeFile = openOut(ChromePath)))
+    return 1;
 
   // The registry is rebuilt from the dump's region records; trace region
   // ids are remapped through define() so the sink sees dense local ids.
   RegionRegistry Registry;
   std::unique_ptr<AttributionSink> Sink;
+  std::unique_ptr<ChromeWriter> Chrome;
   std::vector<uint32_t> IdMap = {RegionRegistry::Unknown};
   uint64_t SampleInterval = 1;
-  // Codec stamps from the meta line: v2 dumps carry the schema string,
-  // the selected decode kernel, and the blocked-codec record count;
-  // v1 and pre-stamp dumps leave the fields empty and nothing renders.
   TraceCodecInfo Codec;
   auto localId = [&](uint32_t TraceId) {
     return TraceId < IdMap.size() ? IdMap[TraceId] : RegionRegistry::Unknown;
   };
-  auto ensureSink = [&] {
+  auto ensureSink = [&](const AttributionConfig &Config = {}) {
     if (!Sink)
-      Sink = std::make_unique<AttributionSink>(Registry,
-                                               AttributionConfig());
+      Sink = std::make_unique<AttributionSink>(Registry, Config);
   };
 
   auto HandleRecord = [&](const TraceRecord &Record) {
     switch (Record.RecordKind) {
     case TraceRecord::Kind::Meta:
-      if (!Sink)
-        Sink = std::make_unique<AttributionSink>(Registry, Record.Config);
+      ensureSink(Record.Config);
       SampleInterval = Record.SampleInterval;
-      Codec.Schema = Record.Schema;
-      Codec.Simd = Record.Simd;
-      Codec.TraceBlock = Record.TraceBlock;
+      Codec = Record.Codec;
       break;
     case TraceRecord::Kind::Region: {
       uint32_t Local = Registry.define(Record.Region);
@@ -500,26 +415,102 @@ int main(int Argc, char **Argv) {
       break;
     }
   };
-  long Parsed = 0;
-  if (HasFirst) {
-    TraceRecord First;
-    if (parseTraceLine(FirstLine, First)) {
-      HandleRecord(First);
-      ++Parsed;
-    }
-  }
-  Parsed += readTraceFile(In, HandleRecord);
+
+  // The first line's meta "schema" picks the reader: metrics and
+  // field-profile dumps have their own reports, and everything else
+  // (including a dump without a schema) reads as a trace.
+  MetricsDoc Metrics;
+  FieldsDoc Fields;
+  std::optional<DumpKind> Kind;
+  std::string Error;
+  long Parsed = ccl::json::readJsonl(
+      In,
+      [&](const std::string &Line) {
+        if (!Kind) {
+          ccl::json::Value First;
+          ccl::json::LineResult R = ccl::json::parseObjectLine(Line, First);
+          if (!R && !R.malformed())
+            return R; // blank
+          Kind = R ? dumpKindOf(First) : DumpKind::Trace;
+          if (*Kind == DumpKind::Trace && ChromeFile)
+            Chrome = std::make_unique<ChromeWriter>(ChromeFile);
+        }
+        if (*Kind == DumpKind::Metrics)
+          return parseMetricsLine(Line, Metrics);
+        if (*Kind == DumpKind::Fields)
+          return parseFieldsLine(Line, Fields);
+        TraceRecord Record;
+        ccl::json::LineResult R = parseTraceLine(Line, Record);
+        if (R)
+          HandleRecord(Record);
+        return R;
+      },
+      &Error);
   if (In != stdin)
     std::fclose(In);
-  if (Chrome) {
+  if (Chrome)
     Chrome->finish();
-    closeOut(ChromeFile);
-  }
+  if (Parsed == 0)
+    Error = " no records";
   if (Parsed <= 0) {
-    std::fprintf(stderr, "cclstat: no parseable records in %s\n",
-                 TracePath.c_str());
+    std::fprintf(stderr, "%s:%s\n", TracePath.c_str(), Error.c_str());
+    closeOut(ChromeFile);
     return 1;
   }
+
+  if (*Kind == DumpKind::Fields) {
+    if (ChromeFile) // a field profile has no timeline events
+      ChromeWriter(ChromeFile).finish();
+    closeOut(ChromeFile);
+    if (!Quiet) {
+      std::printf("%s: %ld field-profile records", TracePath.c_str(),
+                  Parsed);
+      if (!Fields.Binary.empty())
+        std::printf(" from %s (%s)", Fields.Binary.c_str(),
+                    Fields.Git.c_str());
+      std::printf("\n");
+      if (Fields.Attributed + Fields.Unattributed > 0)
+        std::printf("attributed %s / unattributed %s events\n",
+                    TablePrinter::fmtInt(Fields.Attributed).c_str(),
+                    TablePrinter::fmtInt(Fields.Unattributed).c_str());
+      std::printf("\n");
+      printFieldsReport(Fields);
+    }
+    if (!JsonPath.empty() || !CsvPath.empty())
+      std::fprintf(stderr, "cclstat: --json/--csv are not supported for "
+                           "field-profile dumps\n");
+    return 0;
+  }
+
+  if (*Kind == DumpKind::Metrics) {
+    if (!Quiet) {
+      std::printf("%s: %ld metrics records", TracePath.c_str(), Parsed);
+      if (!Metrics.Binary.empty())
+        std::printf(" from %s (%s)", Metrics.Binary.c_str(),
+                    Metrics.Git.c_str());
+      if (!Metrics.Simd.empty())
+        std::printf(" [simd %s]", Metrics.Simd.c_str());
+      std::printf("\n\n");
+      printMetricsReport(Metrics, stdout);
+    }
+    if (!CsvPath.empty())
+      std::fprintf(stderr,
+                   "cclstat: --csv is not supported for metrics dumps\n");
+    if (ChromeFile) {
+      writeMetricsChrome(Metrics, ChromeFile);
+      closeOut(ChromeFile);
+    }
+    if (!JsonPath.empty()) {
+      std::FILE *Out = openOut(JsonPath);
+      if (!Out)
+        return 1;
+      writeMetricsSummaryJson(Metrics, Out);
+      closeOut(Out);
+    }
+    return 0;
+  }
+
+  closeOut(ChromeFile);
   ensureSink();
   Sink->finalize();
 

@@ -121,9 +121,9 @@ void SimPointerChaseBatch(benchmark::State &State) {
 
 // Record-once/replay-many path: the pointer chase is encoded into a
 // TraceBuffer once, then every iteration replays the sealed recording
-// through the software-pipelined MemoryHierarchy::replay() decoder.
-// Items/sec here vs SimPointerChaseBatch is the per-replay cost of the
-// trace engine (decode + prefetch vs iterating raw MemAccess records).
+// through the batched MemoryHierarchy::replay() decoder. Items/sec here
+// vs SimPointerChaseBatch is the per-replay cost of the trace engine
+// (decode vs iterating raw MemAccess records).
 void SimPointerChaseReplay(benchmark::State &State) {
   const std::vector<uint64_t> Addrs =
       makeTrace(TraceKind::PointerChase, 1 << 20);
@@ -139,6 +139,25 @@ void SimPointerChaseReplay(benchmark::State &State) {
   State.SetItemsProcessed(int64_t(State.iterations()) *
                           int64_t(Buf.records()));
   State.SetLabel(State.range(0) == 0 ? "e5000" : "rsim");
+}
+
+// Record/encode throughput: every iteration records the pointer chase
+// into a fresh TraceBuffer and seals it, so the storage's growth from
+// empty and the final trim are counted with the encoding itself. The
+// /0 names the trace it shares with SimPointerChaseReplay/0.
+void SimTraceRecord(benchmark::State &State) {
+  const std::vector<uint64_t> Addrs =
+      makeTrace(TraceKind::PointerChase, 1 << 20);
+  for (auto _ : State) {
+    TraceBuffer Buf;
+    for (uint64_t Addr : Addrs)
+      Buf.recordRead(Addr, 8);
+    Buf.seal();
+    benchmark::DoNotOptimize(Buf.view().Data);
+    benchmark::ClobberMemory();
+  }
+  State.SetItemsProcessed(int64_t(State.iterations()) *
+                          int64_t(Addrs.size()));
 }
 
 // Pure decode throughput: stream the recorded pointer chase through a
@@ -206,6 +225,7 @@ void SimPointerChaseObserved(benchmark::State &State) {
 BENCHMARK(SimPointerChase)->Arg(0)->Arg(1);
 BENCHMARK(SimPointerChaseBatch)->Arg(0)->Arg(1);
 BENCHMARK(SimPointerChaseReplay)->Arg(0)->Arg(1);
+BENCHMARK(SimTraceRecord)->Arg(0);
 BENCHMARK(SimTraceDecodeOnly);
 BENCHMARK(SimStreaming)->Arg(0)->Arg(1);
 BENCHMARK(SimRandom)->Arg(0)->Arg(1);

@@ -102,6 +102,29 @@ if [[ "${CCL_BENCH_ARTIFACTS:-0}" == "1" ]]; then
   build-bench/bench/fig5_tree_microbenchmark --hw \
     --out "$ART/BENCH_fig5.json" --metrics "$ART/METRICS_fig5.jsonl" \
     --trace "$ART/TRACE_fig5.jsonl" --trace-sample 256
+  # Cross-process determinism: a second fig5 process, under its own ASLR
+  # layout, must reproduce every simulated field exactly. Only the native
+  # timing (nanos_per_search) and the --hw meta row may differ.
+  echo "=== fig5 simulated fields across processes ==="
+  build-bench/bench/fig5_tree_microbenchmark \
+    --out "$ART/BENCH_fig5_rerun.json" > /dev/null
+  python3 - "$ART/BENCH_fig5.json" "$ART/BENCH_fig5_rerun.json" <<'EOF'
+import json, sys
+
+def simulated(path):
+    with open(path, encoding="utf-8") as f:
+        results = json.load(f)["results"]
+    return [{k: v for k, v in r.items()
+             if k in ("name", "section", "searches", "cycles_per_search")
+             or k.startswith("sim_")}
+            for r in results if "searches" in r]
+
+first, second = (simulated(path) for path in sys.argv[1:])
+if not first or first != second:
+    diff = [(a, b) for a, b in zip(first, second) if a != b]
+    sys.exit("FAIL: fig5 simulated fields differ across processes: %s"
+             % (diff[:3] or "row sets differ"))
+EOF
   build-bench/bench/fig6_macrobenchmarks --out "$ART/BENCH_fig6.json" \
     --metrics "$ART/METRICS_fig6.jsonl"
   build-bench/bench/fig7_olden --out "$ART/BENCH_fig7.json" \

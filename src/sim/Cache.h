@@ -77,13 +77,6 @@ public:
     return Tags[SetIdx * Assoc + Mru[SetIdx]] == Block;
   }
 
-  /// Best-effort host prefetch of the tag line for \p Addr's set, used
-  /// by the replay engine to warm simulator state one decoded batch
-  /// ahead. Never modifies simulated state.
-  void prefetchTags(uint64_t Addr) const {
-    __builtin_prefetch(&Tags[((Addr >> BlockShift) & SetMask) * Assoc]);
-  }
-
   /// Commits the access after mruMatches(\p Addr) returned true:
   /// identical bookkeeping to a hit found by the full access() scan.
   void commitMruHit(uint64_t Addr, bool IsWrite) {

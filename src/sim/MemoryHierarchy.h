@@ -106,10 +106,9 @@ public:
 
   /// Replays a recorded trace (or prefix view of one): bit-identical to
   /// issuing the same read()/write()/prefetch()/tick() calls in recorded
-  /// order, but decoded batch-at-a-time with the simulator's tag lines
-  /// warmed one batch ahead — the record-once/replay-many engine the
-  /// figure benches use to evaluate many sweep points against one
-  /// native recording. Because replay preserves the recorded order, the
+  /// order, but decoded a block at a time — the record-once/replay-many
+  /// engine the figure benches use to evaluate many sweep points against
+  /// one native recording. Because replay preserves the recorded order, the
   /// canonical first-touch address remap resolves identically to a live
   /// run (locked down by tests/trace_test.cpp and sim_golden_test).
   void replay(TraceView View) {
@@ -223,27 +222,6 @@ private:
   }
 
   uint64_t translateSlow(uint64_t Addr);
-
-  /// Best-effort, strictly non-mutating host prefetch of the tag lines
-  /// and TLB index slot a replayed access will touch. Uses only
-  /// translations that already exist (cached unit or a map hit);
-  /// first-touch units are skipped — their mapping must not be created
-  /// out of order.
-  void warmReplayTarget(uint64_t Addr) {
-    uint64_t Unit = Addr >> UnitShift;
-    uint64_t Mapped;
-    if (Unit == LastUnit) {
-      Mapped = (LastMapped << UnitShift) | (Addr & UnitMask);
-    } else if (const uint64_t *Known = UnitMap.find(Unit)) {
-      Mapped = (*Known << UnitShift) | (Addr & UnitMask);
-    } else {
-      return;
-    }
-    L1.prefetchTags(Mapped);
-    L2.prefetchTags(Mapped);
-    if (Config.Tlb.Enabled)
-      TlbModel.prefetchIndex(Mapped);
-  }
 
   HierarchyConfig Config;
   Cache L1;

@@ -57,7 +57,11 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 namespace ccl::sim {
@@ -87,7 +91,7 @@ struct TraceView {
 
 /// A decoding position inside a view. next() streams records in order;
 /// nextBatch() decodes up to a block at a time (the replay engine's
-/// pipelined consumption path); MemoryHierarchy::replay(cursor, n)
+/// consumption path); MemoryHierarchy::replay(cursor, n)
 /// consumes a bounded number, so one recording can be replayed in phases
 /// (e.g. fig10's warmup, then its measured window) with cycle snapshots
 /// taken in between.
@@ -194,11 +198,29 @@ public:
   TraceBuffer() = default;
 
   // The encoding chains address deltas; moving the storage is fine, but
-  // accidental copies of multi-megabyte recordings are not.
+  // accidental copies of multi-megabyte recordings are not. A move hands
+  // over the recording mid-stream, pending block included, and leaves
+  // the source empty and ready to record again.
   TraceBuffer(const TraceBuffer &) = delete;
   TraceBuffer &operator=(const TraceBuffer &) = delete;
-  TraceBuffer(TraceBuffer &&) = default;
-  TraceBuffer &operator=(TraceBuffer &&) = default;
+  TraceBuffer(TraceBuffer &&Other) noexcept { *this = std::move(Other); }
+  TraceBuffer &operator=(TraceBuffer &&Other) noexcept {
+    if (this == &Other)
+      return *this;
+    Data = std::move(Other.Data);
+    Capacity = std::exchange(Other.Capacity, 0);
+    Used = Other.Used;
+    NumRecords = Other.NumRecords;
+    PrevAddr = Other.PrevAddr;
+    Sealed = Other.Sealed;
+    PendingCount = Other.PendingCount;
+    PendingDataBytes = Other.PendingDataBytes;
+    std::memcpy(PendingCtrl, Other.PendingCtrl, sizeof(PendingCtrl));
+    std::memcpy(PendingPayload, Other.PendingPayload, sizeof(PendingPayload));
+    PendingExtra = std::move(Other.PendingExtra);
+    Other.clear();
+    return *this;
+  }
 
   void recordRead(uint64_t Addr, uint64_t Size) {
     recordAccess(0, Addr, Size);
@@ -230,17 +252,16 @@ public:
   /// it beats sizeof(MemAccess) per record).
   size_t bytes() const { return Used + pendingEncodedBytes(); }
 
-  /// Freezes the buffer (and trims its allocation). Required before
-  /// views may be shared across threads. Sealed buffers keep
+  /// Freezes the buffer and trims its allocation in place. Required
+  /// before views may be shared across threads. Sealed buffers keep
   /// TraceSimdPadBytes of readable zero padding past the encoded bytes
   /// so the shuffle kernels' full-width tail loads stay in bounds;
   /// bytes() still reports the unpadded size.
   void seal() {
     flushBlock();
     Sealed = true;
-    Data.resize(Used + TraceSimdPadBytes);
-    std::memset(Data.data() + Used, 0, TraceSimdPadBytes);
-    Data.shrink_to_fit();
+    reallocate(Used + TraceSimdPadBytes);
+    std::memset(Data.get() + Used, 0, TraceSimdPadBytes);
   }
 
   bool sealed() const { return Sealed; }
@@ -249,7 +270,7 @@ public:
   TraceView view() const {
     assert(pendingEncodedBytes() == 0 &&
            "seal() the buffer before taking views");
-    return {Data.data(), NumRecords};
+    return {Data.get(), NumRecords};
   }
 
   /// View over the first \p Records records.
@@ -257,11 +278,11 @@ public:
     assert(Records <= NumRecords && "prefix longer than the recording");
     assert(pendingEncodedBytes() == 0 &&
            "seal() the buffer before taking views");
-    return {Data.data(), Records};
+    return {Data.get(), Records};
   }
 
+  /// Empties the recording but keeps the allocation for the next one.
   void clear() {
-    Data.clear();
     Used = 0;
     NumRecords = 0;
     PrevAddr = 0;
@@ -327,7 +348,7 @@ private:
       std::memcpy(P, PendingExtra.data(), PendingExtra.size());
       P += PendingExtra.size();
     }
-    Used = size_t(P - Data.data());
+    Used = size_t(P - Data.get());
     PendingCount = 0;
     PendingDataBytes = 0;
     PendingExtra.clear();
@@ -347,12 +368,29 @@ private:
   /// through the pointer unchecked and then advances Used — this is
   /// what keeps recording from paying a bounds check per byte.
   uint8_t *grab(size_t Need) {
-    if (Used + Need > Data.size()) {
-      size_t Grown = Data.size() < 2048 ? 4096 : Data.size() * 2;
-      Data.resize(Grown > Used + Need ? Grown : Used + Need);
+    if (Used + Need > Capacity) [[unlikely]] {
+      size_t Grown = Capacity < 2048 ? 4096 : Capacity * 2;
+      reallocate(Grown > Used + Need ? Grown : Used + Need);
     }
-    return Data.data() + Used;
+    return Data.get() + Used;
   }
+
+  /// Resizes the storage to exactly \p Bytes, keeping the first Used.
+  /// realloc neither zero-fills new bytes nor, for the large blocks a
+  /// recording quickly becomes, copies old ones: glibc moves those
+  /// pages with mremap, so growing and trimming both stay in place.
+  void reallocate(size_t Bytes) {
+    void *Resized = std::realloc(Data.get(), Bytes);
+    if (Resized == nullptr)
+      throw std::bad_alloc();
+    (void)Data.release(); // realloc already freed or kept the old block.
+    Data.reset(static_cast<uint8_t *>(Resized));
+    Capacity = Bytes;
+  }
+
+  struct FreeDeleter {
+    void operator()(uint8_t *P) const { std::free(P); }
+  };
 
   /// 1..7 for the power-of-two sizes 1..64, 0 for everything else
   /// (explicit varint).
@@ -362,10 +400,12 @@ private:
     return uint32_t(std::countr_zero(Size)) + 1;
   }
 
-  /// Backing storage; sized with headroom while recording, trimmed (plus
-  /// kernel padding) by seal().
-  std::vector<uint8_t> Data;
-  /// Encoded bytes written so far (Data.size() is capacity-like).
+  /// Backing storage, malloc-owned so it can grow and shrink through
+  /// realloc; Capacity bytes with headroom while recording, trimmed to
+  /// the encoded bytes plus kernel padding by seal().
+  std::unique_ptr<uint8_t[], FreeDeleter> Data;
+  size_t Capacity = 0;
+  /// Encoded bytes written so far.
   size_t Used = 0;
   size_t NumRecords = 0;
   uint64_t PrevAddr = 0;

@@ -125,7 +125,11 @@ public:
 private:
   BinarySearchTree() = default;
 
-  Arena Storage{/*SlabBytes=*/1 << 22, /*SlabAlign=*/4096};
+  /// Slabs are aligned to their own 4 MiB size, which covers every
+  /// simulated translation unit in use (the largest L2 is 2 MiB): node
+  /// offsets inside a unit, and so every simulated set index, are the
+  /// same in every process whatever ASLR and the heap do.
+  Arena Storage{/*SlabBytes=*/1 << 22, /*SlabAlign=*/1 << 22};
   BstNode *Root = nullptr;
   uint64_t NumNodes = 0;
 };

@@ -427,7 +427,7 @@ TraceBuffer recordOps(const std::vector<TraceOp> &Ops) {
 TEST(SimGolden, RecordedReplayMatchesGolden) {
   // The trace engine against the seed-implementation numbers: encoding
   // each golden trace into a TraceBuffer and replaying it through the
-  // software-pipelined decoder must reproduce every pinned statistic —
+  // batched block decoder must reproduce every pinned statistic —
   // so record-once/replay-many can never drift from live simulation
   // without this test (and the seed goldens) noticing.
   for (const GoldenCase &Case : GoldenCases) {

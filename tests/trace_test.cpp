@@ -12,7 +12,10 @@
 //     addresses, mixed sizes (power-of-two codes, explicit varint sizes,
 //     zero-size touches), all four record kinds — decode back exactly,
 //     including through prefix views and split cursors, while staying
-//     well under sizeof(MemAccess) per record.
+//     well under sizeof(MemAccess) per record. The storage is checked
+//     too: growth across many doublings, moves mid-recording, reuse
+//     after a move or clear(), zeroed seal padding, and a pinned
+//     encoding of a fixed stream.
 //  3. Replay parity: MemoryHierarchy::replay of a recording produces
 //     statistics bit-identical to issuing the same
 //     read()/write()/prefetch()/tick() calls live, on both paper
@@ -148,44 +151,65 @@ void expectDecodesTo(TraceView View, const std::vector<RawRecord> &Expected,
   EXPECT_FALSE(Cursor.next(Out));
 }
 
-// Arbitrary streams round-trip exactly: 64 seeds x 500 records of
-// uniformly random kind, full-range addresses, and a size distribution
-// that covers every encoder path (all seven one-byte size codes, zero,
-// non-power-of-two, and > 64-byte explicit sizes).
+/// \p Length records of uniformly random kind, full-range addresses, and
+/// a size distribution that covers every encoder path (all seven
+/// one-byte size codes, zero, non-power-of-two, and > 64-byte explicit
+/// sizes).
+std::vector<RawRecord> arbitraryStream(uint64_t Seed, size_t Length) {
+  Lcg Rng(Seed * 0x9E3779B97F4A7C15ULL);
+  std::vector<RawRecord> Stream;
+  for (size_t I = 0; I < Length; ++I) {
+    RawRecord R;
+    R.K = TraceRecord::Kind(Rng.next() % 4);
+    // Mix near-previous addresses (small deltas) with full-range jumps
+    // so both the one-byte and the ten-byte varint paths are hit.
+    R.Addr = Rng.next() % 3 == 0 ? Rng.full()
+                                 : 0x7f0000000000ULL + Rng.next() % 4096;
+    switch (Rng.next() % 5) {
+    case 0: // Power-of-two fast codes 1..64.
+      R.Arg = uint64_t(1) << (Rng.next() % 7);
+      break;
+    case 1: // Zero-size touch: explicit-size path.
+      R.Arg = 0;
+      break;
+    case 2: // Non-power-of-two.
+      R.Arg = 3 + Rng.next() % 61;
+      break;
+    case 3: // Larger than the biggest fast code.
+      R.Arg = 65 + Rng.next() % 100000;
+      break;
+    default: // Common case.
+      R.Arg = 8;
+      break;
+    }
+    if (R.K == TraceRecord::Kind::Prefetch)
+      R.Arg = 0;
+    if (R.K == TraceRecord::Kind::Tick)
+      R.Arg = Rng.next() % 1000;
+    Stream.push_back(R);
+  }
+  return Stream;
+}
+
+/// A buffer holding the first \p Count records of \p Stream, unsealed.
+TraceBuffer recorded(const std::vector<RawRecord> &Stream, size_t Count) {
+  TraceBuffer Buf;
+  for (size_t I = 0; I < Count; ++I)
+    record(Buf, Stream[I]);
+  return Buf;
+}
+
+/// The sealed encoding, without the kernel padding.
+std::vector<uint8_t> encodedBytes(const TraceBuffer &Buf) {
+  const uint8_t *Data = Buf.view().Data;
+  return std::vector<uint8_t>(Data, Data + Buf.bytes());
+}
+
+// Arbitrary streams round-trip exactly: 64 seeds x 500 records.
 TEST(TraceBuffer, ArbitraryStreamsRoundTripExactly) {
   for (uint64_t Seed = 1; Seed <= 64; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
-    Lcg Rng(Seed * 0x9E3779B97F4A7C15ULL);
-    std::vector<RawRecord> Stream;
-    for (unsigned I = 0; I < 500; ++I) {
-      RawRecord R;
-      R.K = TraceRecord::Kind(Rng.next() % 4);
-      // Mix near-previous addresses (small deltas) with full-range jumps
-      // so both the one-byte and the ten-byte varint paths are hit.
-      R.Addr = Rng.next() % 3 == 0 ? Rng.full() : 0x7f0000000000ULL + Rng.next() % 4096;
-      switch (Rng.next() % 5) {
-      case 0: // Power-of-two fast codes 1..64.
-        R.Arg = uint64_t(1) << (Rng.next() % 7);
-        break;
-      case 1: // Zero-size touch: explicit-size path.
-        R.Arg = 0;
-        break;
-      case 2: // Non-power-of-two.
-        R.Arg = 3 + Rng.next() % 61;
-        break;
-      case 3: // Larger than the biggest fast code.
-        R.Arg = 65 + Rng.next() % 100000;
-        break;
-      default: // Common case.
-        R.Arg = 8;
-        break;
-      }
-      if (R.K == TraceRecord::Kind::Prefetch)
-        R.Arg = 0;
-      if (R.K == TraceRecord::Kind::Tick)
-        R.Arg = Rng.next() % 1000;
-      Stream.push_back(R);
-    }
+    std::vector<RawRecord> Stream = arbitraryStream(Seed, 500);
 
     TraceBuffer Buf;
     for (const RawRecord &R : Stream)
@@ -247,6 +271,99 @@ TEST(TraceBuffer, ClearRestartsTheDeltaChain) {
       {TraceRecord::Kind::Read, 0x1000, 8},
       {TraceRecord::Kind::Read, 0x1040, 8}};
   expectDecodesTo(Buf.view(), Expected, Expected.size());
+}
+
+// The storage starts at 4 KiB and doubles: a 200k-record stream (about
+// 1.2 MB encoded) crosses nine growth steps and must still decode
+// exactly, whole and through prefixes that end inside grown regions.
+TEST(TraceBuffer, GrowthAcrossManyStepsRoundTrips) {
+  std::vector<RawRecord> Stream = arbitraryStream(7, 200000);
+  TraceBuffer Buf = recorded(Stream, Stream.size());
+  Buf.seal();
+  EXPECT_GT(Buf.bytes(), size_t(4096) << 7);
+  expectDecodesTo(Buf.view(), Stream, Stream.size());
+  for (size_t Count : {size_t(4096), size_t(65537), size_t(150001)})
+    expectDecodesTo(Buf.prefix(Count), Stream, Count);
+}
+
+// Moving a buffer mid-recording — mid-block, pending records and
+// explicit sizes included — hands over the whole stream: the moved-to
+// buffer finishes it to the same bytes an unmoved recording produces.
+TEST(TraceBuffer, MoveMidRecordingKeepsTheStream) {
+  std::vector<RawRecord> Stream = arbitraryStream(11, 20000);
+  TraceBuffer Whole = recorded(Stream, Stream.size());
+  Whole.seal();
+
+  // Neither split point is a block multiple.
+  const size_t FirstSplit = 7777, SecondSplit = 14321;
+  TraceBuffer First = recorded(Stream, FirstSplit);
+  TraceBuffer Constructed(std::move(First));
+  TraceBuffer Assigned = recorded(Stream, 777); // Replaced wholesale.
+  for (size_t I = FirstSplit; I < SecondSplit; ++I)
+    record(Constructed, Stream[I]);
+  Assigned = std::move(Constructed);
+  for (size_t I = SecondSplit; I < Stream.size(); ++I)
+    record(Assigned, Stream[I]);
+  Assigned.seal();
+
+  EXPECT_EQ(Assigned.records(), Stream.size());
+  EXPECT_EQ(encodedBytes(Assigned), encodedBytes(Whole));
+  expectDecodesTo(Assigned.view(), Stream, Stream.size());
+}
+
+// A moved-from buffer is empty and records from scratch; clear() keeps
+// the allocation but restarts the stream. Both re-encode a stream to the
+// bytes a fresh buffer produces.
+TEST(TraceBuffer, MovedFromAndClearedBuffersRecordAgain) {
+  std::vector<RawRecord> Stream = arbitraryStream(13, 5000);
+  TraceBuffer Fresh = recorded(Stream, Stream.size());
+  Fresh.seal();
+
+  TraceBuffer Source = recorded(Stream, 3001);
+  TraceBuffer Taken(std::move(Source));
+  EXPECT_EQ(Source.records(), 0u);
+  EXPECT_EQ(Source.bytes(), 0u);
+  EXPECT_FALSE(Source.sealed());
+  TraceBuffer Cleared = recorded(arbitraryStream(17, 30000), 30000);
+  Cleared.clear();
+
+  for (TraceBuffer *Buf : {&Source, &Cleared}) {
+    for (const RawRecord &R : Stream)
+      record(*Buf, R);
+    Buf->seal();
+    EXPECT_EQ(encodedBytes(*Buf), encodedBytes(Fresh));
+    expectDecodesTo(Buf->view(), Stream, Stream.size());
+  }
+}
+
+// The decode kernels load full vector widths past the last block, so
+// the TraceSimdPadBytes after bytes() must read as zero — even when the
+// storage held an earlier, longer recording there.
+TEST(TraceBuffer, SealedPaddingReadsZero) {
+  TraceBuffer Buf = recorded(arbitraryStream(19, 30000), 30000);
+  Buf.clear();
+  std::vector<RawRecord> Stream = arbitraryStream(23, 1000);
+  for (const RawRecord &R : Stream)
+    record(Buf, R);
+  Buf.seal();
+  const uint8_t *Pad = Buf.view().Data + Buf.bytes();
+  for (size_t I = 0; I < TraceSimdPadBytes; ++I)
+    EXPECT_EQ(Pad[I], 0u) << "pad byte " << I;
+  expectDecodesTo(Buf.view(), Stream, Stream.size());
+}
+
+// The ccl-trace v2 wire format is pinned: a fixed stream's encoding has
+// a known size and FNV-1a hash, so changes to how the buffer stores its
+// bytes cannot alter them. A deliberate codec change updates both.
+TEST(TraceBuffer, WireFormatIsPinned) {
+  std::vector<RawRecord> Stream = arbitraryStream(7, 200000);
+  TraceBuffer Buf = recorded(Stream, Stream.size());
+  Buf.seal();
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+  for (uint8_t Byte : encodedBytes(Buf))
+    Hash = (Hash ^ Byte) * 0x100000001b3ULL;
+  EXPECT_EQ(Buf.bytes(), size_t(1195535));
+  EXPECT_EQ(Hash, 0x9c2c0fd658b397f0ULL);
 }
 
 //===----------------------------------------------------------------------===//

@@ -301,7 +301,7 @@ TEST(TraceSimdKernels, EnvNameRoundTrip) {
 
 TEST(TraceV2, BatchDecodeMatchesSingleStepping) {
   // nextBatch must produce the same stream as next(), and a batch
-  // never crosses a block boundary (so pipelined replay batches align
+  // never crosses a block boundary (so replay batches align
   // with kernel-decoded blocks after the first call).
   std::vector<RawRecord> Stream = randomStream(0xBA7C4, 1000);
   TraceBuffer Buf;

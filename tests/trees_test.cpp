@@ -10,9 +10,12 @@
 #include "trees/CompactTree.h"
 
 #include "sim/AccessPolicy.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <vector>
 
 using namespace ccl;
@@ -124,6 +127,43 @@ TEST(BinarySearchTree, SearchCountsSimulatedAccesses) {
   Tree.search(BinarySearchTree::keyAt(0), A);
   // A search touches ~log2(1024) nodes, each with >= 2 field loads.
   EXPECT_GE(M.stats().Reads, 10u);
+}
+
+// Simulated results depend only on the seed, not on where the heap puts
+// the nodes: the same random tree built again after each of eight
+// odd-sized allocations (6 MiB plus 1..8 pages plus a few bytes, large
+// enough to be mapped between the arenas), so the arenas land at
+// different offsets, gives identical statistics for one seeded search
+// stream. With only page-aligned slabs, a shift by an
+// odd number of 4 KiB pages moves nodes across the simulated 8 KiB TLB
+// pages and the TLB misses change.
+TEST(BinarySearchTree, SimulatedStatsIndependentOfPlacement) {
+  const uint64_t N = 1 << 17; // 3 MiB of nodes, three times the L2.
+  auto Simulate = [N](const BinarySearchTree &Tree) {
+    sim::MemoryHierarchy M(sim::HierarchyConfig::ultraSparcE5000());
+    sim::SimAccess A(M);
+    Xoshiro256 Rng(0x5eedULL);
+    for (unsigned I = 0; I < 20000; ++I)
+      Tree.search(BinarySearchTree::keyAt(Rng.nextBounded(N)), A);
+    return M.stats();
+  };
+  auto First = BinarySearchTree::build(N, LayoutScheme::Random);
+  const sim::SimStats Expected = Simulate(First);
+  std::vector<std::unique_ptr<char[]>> Spacers;
+  std::vector<BinarySearchTree> Trees;
+  for (size_t Pages = 1; Pages <= 8; ++Pages) {
+    SCOPED_TRACE(Pages);
+    // Left uninitialized, so the spacer costs address space, not memory.
+    Spacers.emplace_back(new char[(6 << 20) + Pages * 4096 + 40]);
+    Trees.push_back(BinarySearchTree::build(N, LayoutScheme::Random));
+    ASSERT_NE(Trees.back().root(), First.root());
+    sim::SimStats Got = Simulate(Trees.back());
+    EXPECT_EQ(Got.L1Misses, Expected.L1Misses);
+    EXPECT_EQ(Got.L2Misses, Expected.L2Misses);
+    EXPECT_EQ(Got.TlbMisses, Expected.TlbMisses);
+    EXPECT_EQ(Got.totalCycles(), Expected.totalCycles());
+    EXPECT_EQ(std::memcmp(&Got, &Expected, sizeof(sim::SimStats)), 0);
+  }
 }
 
 TEST(VerifyBst, RejectsCorruptTree) {

@@ -18,7 +18,6 @@
 #ifndef CCL_BENCH_BENCHCOMMON_H
 #define CCL_BENCH_BENCHCOMMON_H
 
-#include "support/BuildInfo.h"
 #include "support/Json.h"
 #include "support/TablePrinter.h"
 
@@ -110,10 +109,8 @@ inline std::string metricsOutPath(int Argc, char **Argv) {
 /// JSON document (schema ccl-bench-v1):
 ///
 ///   {"schema":"ccl-bench-v1","bench":"fig5","full":false,
-///    "simd":"avx2","results":[{"name":"...","cycles_per_search":...}]}
-///
-/// "simd" records the trace-decode kernel the producing process
-/// selected (readers skip unknown fields, so the schema stays v1).
+///    "build_type":"release","results":[{"name":"...",
+///    "cycles_per_search":...}]}
 ///
 /// Usage: beginResult() starts a result object; num()/integer()/str()
 /// append fields to the most recent one.
@@ -146,7 +143,7 @@ public:
   }
 
   void str(const std::string &Key, const std::string &Value) {
-    addField(Key, "\"" + json::escape(Value) + "\"");
+    addField(Key, quoted(Value));
   }
 
   /// Writes the document to \p Path ("-" = stdout). Returns false (with
@@ -160,10 +157,9 @@ public:
       return false;
     }
     std::fprintf(Out, "{\"schema\":\"ccl-bench-v1\",\"bench\":\"%s\","
-                      "\"full\":%s,\"build_type\":\"%s\",\"simd\":\"%s\","
-                      "\"results\":[",
+                      "\"full\":%s,\"build_type\":\"%s\",\"results\":[",
                  json::escape(Bench).c_str(), Full ? "true" : "false",
-                 buildType(), ccl::simdKernel());
+                 buildType());
     for (size_t R = 0; R < Results.size(); ++R) {
       std::fprintf(Out, "%s{", R == 0 ? "" : ",");
       for (size_t F = 0; F < Results[R].size(); ++F)
@@ -188,10 +184,19 @@ public:
   }
 
 private:
+  /// \p Text escaped and in double quotes. Built by appending: gcc 12
+  /// at -O3 reports a spurious -Wrestrict for `"\"" + std::string&&`.
+  static std::string quoted(const std::string &Text) {
+    std::string Out = "\"";
+    Out += json::escape(Text);
+    Out += '"';
+    return Out;
+  }
+
   void addField(const std::string &Key, const std::string &Rendered) {
     if (Results.empty())
       Results.emplace_back();
-    Results.back().push_back("\"" + json::escape(Key) + "\":" + Rendered);
+    Results.back().push_back(quoted(Key) + ":" + Rendered);
   }
 
   std::string Bench;

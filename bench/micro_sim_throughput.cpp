@@ -16,7 +16,6 @@
 #include "bench/MicroBenchMain.h"
 #include "sim/MemoryHierarchy.h"
 #include "sim/TraceBuffer.h"
-#include "support/SimdDispatch.h"
 
 #include <benchmark/benchmark.h>
 
@@ -162,9 +161,7 @@ void SimTraceRecord(benchmark::State &State) {
 
 // Pure decode throughput: stream the recorded pointer chase through a
 // TraceCursor and discard the records — no cache probes — so codec wins
-// are measured separately from probe wins. Blocks decode through the
-// selected shuffle kernel (CCL_SIMD=off measures the scalar fallback);
-// the label stamps the kernel.
+// are measured separately from probe wins.
 void SimTraceDecodeOnly(benchmark::State &State) {
   const std::vector<uint64_t> Addrs =
       makeTrace(TraceKind::PointerChase, 1 << 20);
@@ -184,7 +181,6 @@ void SimTraceDecodeOnly(benchmark::State &State) {
   }
   State.SetItemsProcessed(int64_t(State.iterations()) *
                           int64_t(Buf.records()));
-  State.SetLabel(ccl::simdLevelName());
 }
 
 void SimStreaming(benchmark::State &State) {

@@ -39,7 +39,6 @@ bool ccl::obs::parseBenchJson(const std::string &Text, BenchDoc &Doc,
       F.fail("schema", "not ccl-bench-v1");
     F.str("bench", Doc.Bench);
     F.str("build_type", Doc.BuildType);
-    F.str("simd", Doc.Simd);
     if (const json::Value *Full = F.get("full", json::Value::Kind::Bool))
       Doc.Full = Full->Text == "true";
     if (const json::Value *Results = F.get(

@@ -6,9 +6,6 @@
 
 #include "obs/Export.h"
 
-// Header-only use of the v2 codec constants (TraceBlockCap); ccl_obs
-// does not link ccl_sim.
-#include "sim/TraceBuffer.h"
 #include "support/BuildInfo.h"
 #include "support/TablePrinter.h"
 
@@ -27,12 +24,10 @@ TraceSink::TraceSink(std::FILE *Out, const AttributionConfig &Config,
                "\"l1_block\":%" PRIu32 ",\"l1_sets\":%" PRIu64
                ",\"l2_block\":%" PRIu32 ",\"l2_sets\":%" PRIu64
                ",\"hot_sets\":%" PRIu64 ",\"sample\":%" PRIu64
-               ",\"simd\":\"%s\",\"trace_block\":%zu"
                ",\"binary\":\"%s\",\"git\":\"%s\"}\n",
                Config.L1BlockBytes, Config.L1Sets, Config.L2BlockBytes,
                Config.L2Sets, Config.HotSets,
                Options.SampleInterval ? Options.SampleInterval : 1,
-               simdKernel(), ccl::sim::TraceBlockCap,
                json::escape(binaryName()).c_str(),
                json::escape(gitDescribe()).c_str());
   ++Lines;
@@ -134,8 +129,7 @@ void writeRegionJson(std::FILE *Out, const RegionInfo &Info,
 
 } // namespace
 
-void ccl::obs::writeProfileJson(const AttributionSink &Sink, std::FILE *Out,
-                                const TraceCodecInfo *Codec) {
+void ccl::obs::writeProfileJson(const AttributionSink &Sink, std::FILE *Out) {
   const AttributionConfig &Config = Sink.config();
   std::fprintf(Out,
                "{\"schema\":\"ccl-profile-v1\",\"l2_block\":%" PRIu32
@@ -171,17 +165,7 @@ void ccl::obs::writeProfileJson(const AttributionSink &Sink, std::FILE *Out,
     std::fprintf(Out, "[%" PRIu64 ",%" PRIu64 ",%" PRIu64 "]", Set,
                  Misses[Set], Evictions[Set]);
   }
-  std::fprintf(Out, "]");
-
-  if (Codec && Codec->any()) {
-    std::fprintf(Out, ",\"trace_codec\":{\"schema\":\"%s\",\"simd\":\"%s\"",
-                 json::escape(Codec->Schema).c_str(),
-                 json::escape(Codec->Simd).c_str());
-    if (Codec->TraceBlock != 0)
-      std::fprintf(Out, ",\"trace_block\":%" PRIu64, Codec->TraceBlock);
-    std::fprintf(Out, "}");
-  }
-  std::fprintf(Out, "}\n");
+  std::fprintf(Out, "]}\n");
 }
 
 void ccl::obs::writeProfileCsv(const AttributionSink &Sink, std::FILE *Out) {
@@ -224,9 +208,6 @@ json::LineResult ccl::obs::parseTraceLine(const std::string &Line,
     F.uint("sample", Out.SampleInterval);
     F.str("binary", Out.Producer);
     F.str("git", Out.ProducerGit);
-    F.str("schema", Out.Codec.Schema);
-    F.str("simd", Out.Codec.Simd);
-    F.uint("trace_block", Out.Codec.TraceBlock);
   } else if (Kind == "region") {
     Out.RecordKind = TraceRecord::Kind::Region;
     F.uint("id", Out.RegionId, Presence::Required);

@@ -20,16 +20,16 @@
 /// one object per line:
 ///   {"kind":"meta","schema":"ccl-trace-v2","l1_block":..,"l1_sets":..,
 ///    "l2_block":..,"l2_sets":..,"hot_sets":..,"sample":N,
-///    "simd":"avx2","trace_block":64,"binary":"...","git":"..."}
+///    "binary":"...","git":"..."}
 ///   {"kind":"region","id":3,"name":"ctree","color":"hot"}
 ///   {"kind":"a","now":..,"va":..,"pa":..,"sz":8,"w":0,"lvl":"mem",
 ///    "tlb":0,"cyc":70,"r":3}
 ///   {"kind":"e","now":..,"lvl":2,"pa":..,"wb":1}
 ///   {"kind":"p","now":..,"va":..,"pa":..,"sw":1}
 ///
-/// The v2 meta fields ("simd" = selected decode kernel, "trace_block" =
-/// records per codec block) are optional, and the reader never gates
-/// on the schema string, so v1 dumps keep parsing.
+/// The reader never gates on the schema string, so v1 dumps keep
+/// parsing, and skips unknown fields, so dumps that still carry the
+/// retired "simd"/"trace_block" stamps do too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,27 +88,10 @@ private:
   uint64_t PrefetchSeen = 0;
 };
 
-/// Codec identification from a trace dump's meta line: the schema
-/// string, the producing process's decode kernel, and (v2) the blocked
-/// codec's records-per-block. All-empty for dumps written before the
-/// stamps existed.
-struct TraceCodecInfo {
-  std::string Schema;
-  std::string Simd;
-  uint64_t TraceBlock = 0;
-
-  bool any() const {
-    return !Schema.empty() || !Simd.empty() || TraceBlock != 0;
-  }
-};
-
 /// Writes an AttributionSink's results as one JSON document
 /// (schema "ccl-profile-v1"): per-region profiles, totals, and the
-/// nonzero entries of the L2 set-conflict histogram. When \p Codec
-/// carries any meta-line codec fields, a "trace_codec" object is
-/// appended to the document.
-void writeProfileJson(const AttributionSink &Sink, std::FILE *Out,
-                      const TraceCodecInfo *Codec = nullptr);
+/// nonzero entries of the L2 set-conflict histogram.
+void writeProfileJson(const AttributionSink &Sink, std::FILE *Out);
 
 /// Writes the per-region profile table as CSV (header + one row per
 /// region with any activity).
@@ -125,7 +108,6 @@ struct TraceRecord {
   // before they were added to the meta line.
   std::string Producer;
   std::string ProducerGit;
-  TraceCodecInfo Codec;
 
   // Kind::Region
   uint32_t RegionId = 0;

@@ -186,10 +186,10 @@ void ccl::obs::writeFieldsJsonl(const FieldProfileSink &Sink, std::FILE *Out,
                                 bool IncludeIdle) {
   std::fprintf(Out,
                "{\"kind\":\"meta\",\"schema\":\"ccl-fields-v1\","
-               "\"binary\":\"%s\",\"git\":\"%s\",\"simd\":\"%s\","
+               "\"binary\":\"%s\",\"git\":\"%s\","
                "\"attributed\":%" PRIu64 ",\"unattributed\":%" PRIu64 "}\n",
                json::escape(binaryName()).c_str(),
-               json::escape(gitDescribe()).c_str(), simdKernel(),
+               json::escape(gitDescribe()).c_str(),
                Sink.attributedEvents(), Sink.unattributedEvents());
   const reflect::TypeRegistry &Registry = Sink.registry();
   for (const reflect::TypeDesc *Desc : Registry.all()) {
@@ -241,7 +241,6 @@ json::LineResult ccl::obs::parseFieldsLine(const std::string &Line,
     F.str("schema", Doc.Schema);
     F.str("binary", Doc.Binary);
     F.str("git", Doc.Git);
-    F.str("simd", Doc.Simd);
     F.uint("attributed", Doc.Attributed);
     F.uint("unattributed", Doc.Unattributed);
     return F.result();

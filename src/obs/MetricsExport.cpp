@@ -49,10 +49,9 @@ void ccl::obs::writeMetricsJsonl(const metrics::Snapshot &Snapshot,
                                  std::FILE *Out) {
   std::fprintf(Out,
                "{\"kind\":\"meta\",\"schema\":\"ccl-metrics-v1\","
-               "\"binary\":\"%s\",\"git\":\"%s\",\"simd\":\"%s\","
-               "\"clock_ns\":%" PRIu64 "%s",
+               "\"binary\":\"%s\",\"git\":\"%s\",\"clock_ns\":%" PRIu64 "%s",
                json::escape(binaryName()).c_str(),
-               json::escape(gitDescribe()).c_str(), simdKernel(),
+               json::escape(gitDescribe()).c_str(),
                metrics::clockNs(),
                Snapshot.Overflowed ? ",\"overflowed\":1" : "");
   if (Snapshot.SpansDropped != 0)
@@ -118,7 +117,6 @@ json::LineResult ccl::obs::parseMetricsLine(const std::string &Line,
     uint64_t SpansDropped = 0;
     F.str("binary", Doc.Binary);
     F.str("git", Doc.Git);
-    F.str("simd", Doc.Simd);
     F.flag("overflowed", Overflowed);
     F.uint("spans_dropped", SpansDropped);
     Doc.Data.Overflowed |= Overflowed;
@@ -240,9 +238,8 @@ void ccl::obs::writeMetricsSummaryJson(const MetricsDoc &Doc,
                                        std::FILE *Out) {
   std::fprintf(Out,
                "{\"schema\":\"ccl-metrics-summary-v1\",\"binary\":\"%s\","
-               "\"git\":\"%s\",\"simd\":\"%s\",",
-               json::escape(Doc.Binary).c_str(), json::escape(Doc.Git).c_str(),
-               json::escape(Doc.Simd).c_str());
+               "\"git\":\"%s\",",
+               json::escape(Doc.Binary).c_str(), json::escape(Doc.Git).c_str());
   std::fprintf(Out, "\"counters\":{");
   for (size_t I = 0; I < Doc.Data.Counters.size(); ++I)
     std::fprintf(Out, "%s\"%s\":%" PRIu64, I == 0 ? "" : ",",

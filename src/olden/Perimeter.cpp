@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 
 using namespace ccl;
 using namespace ccl::olden;
@@ -88,25 +89,18 @@ uint32_t reflect(Direction D, uint32_t Q) {
 }
 
 /// The two quadrants adjacent to side \p D (needed by sumAdjacent).
-void adjacentQuadrants(Direction D, uint32_t &QA, uint32_t &QB) {
+std::pair<uint32_t, uint32_t> adjacentQuadrants(Direction D) {
   switch (D) {
   case North:
-    QA = NW;
-    QB = NE;
-    return;
+    return {NW, NE};
   case South:
-    QA = SW;
-    QB = SE;
-    return;
+    return {SW, SE};
   case East:
-    QA = NE;
-    QB = SE;
-    return;
+    return {NE, SE};
   case West:
-    QA = NW;
-    QB = SW;
-    return;
+    break;
   }
+  return {NW, SW};
 }
 
 Direction opposite(Direction D) {
@@ -247,8 +241,7 @@ private:
     uint32_t Color = A.load(&N->Color);
     A.tick(1);
     if (Color == ColorGrey) {
-      uint32_t QA, QB;
-      adjacentQuadrants(D, QA, QB);
+      auto [QA, QB] = adjacentQuadrants(D);
       const QuadNode *KidA = A.load(&N->Kids[QA]);
       const QuadNode *KidB = A.load(&N->Kids[QB]);
       return sumAdjacent(KidA, D, Size / 2) + sumAdjacent(KidB, D, Size / 2);

@@ -12,9 +12,9 @@
 /// the paper's own RSIM experiments, where one recorded address stream
 /// was evaluated against many layouts.
 ///
-/// Wire format (ccl-trace v2): blocked control/data lanes, so a whole
-/// block decodes with the table-driven shuffle kernels in
-/// sim/TraceSimd.cpp.
+/// Wire format (ccl-trace v2): blocked control/data lanes. The control
+/// byte carries each payload's width, so the cursor decodes a payload
+/// with one unaligned 8-byte load masked to that width.
 ///
 ///   block: varint record count N (<= TraceBlockCap)
 ///          varint data-lane bytes
@@ -50,7 +50,6 @@
 #ifndef CCL_SIM_TRACEBUFFER_H
 #define CCL_SIM_TRACEBUFFER_H
 
-#include "sim/TraceSimd.h"
 #include "support/Varint.h"
 
 #include <bit>
@@ -64,11 +63,20 @@
 #include <utility>
 #include <vector>
 
+static_assert(std::endian::native == std::endian::little,
+              "v2 data lanes store payloads little-endian; the cursor's "
+              "masked 8-byte loads assume a little-endian host");
+
 namespace ccl::sim {
 
 /// Records per block. Also the natural batch size for
-/// TraceCursor::nextBatch() — one kernel invocation decodes one block.
+/// TraceCursor::nextBatch(), which never crosses a block boundary.
 inline constexpr size_t TraceBlockCap = 64;
+
+/// Readable zero padding a sealed buffer keeps past its encoded bytes:
+/// the cursor loads every payload as 8 bytes, so the recording's last
+/// payload (as short as 1 byte) may read up to 7 bytes beyond it.
+inline constexpr size_t TracePadBytes = 8;
 
 /// One decoded trace record. \p Arg holds the byte size for reads and
 /// writes and the cycle count for ticks; prefetches carry only \p Addr.
@@ -117,7 +125,7 @@ public:
   /// Decodes up to \p Max records into \p Out and returns how many were
   /// produced (0 only when exhausted). A cursor returns at most the
   /// rest of its current block, so after the first call batches align
-  /// with kernel-decoded blocks; callers loop until satisfied.
+  /// with blocks; callers loop until satisfied.
   size_t nextBatch(TraceRecord *Out, size_t Max) {
     if (Max > RecordsLeft)
       Max = RecordsLeft;
@@ -136,8 +144,7 @@ public:
   }
 
 private:
-  /// Opens the block at Pos: parses the header, locates the lanes,
-  /// and kernel-decodes every payload in one pass.
+  /// Opens the block at Pos: parses the header and locates the lanes.
   void openBlock() {
     const uint8_t *P = Pos;
     uint64_t N = varintDecode(P);
@@ -145,29 +152,36 @@ private:
     uint64_t ExtraBytes = varintDecode(P);
     assert(N != 0 && N <= TraceBlockCap && "corrupt block header");
     Ctrl = P;
-    const uint8_t *DataLane = Ctrl + N;
-    Extra = DataLane + DataBytes;
+    DataPos = Ctrl + N;
+    Extra = DataPos + DataBytes;
+    DataEnd = Extra;
     Pos = Extra + ExtraBytes;
     BlockLen = uint32_t(N);
     BlockIdx = 0;
-    size_t Consumed = decodeBlockPayloads(Ctrl, size_t(N), DataLane,
-                                          Payloads);
-    assert(Consumed == DataBytes && "block data lane length mismatch");
-    (void)Consumed;
   }
 
-  /// Turns decoded payload \p I of the open block into a TraceRecord,
-  /// advancing the delta chain and the extra-lane cursor.
+  /// Decodes record \p I of the open block: reads its payload from the
+  /// data lane, then advances the delta chain and the extra-lane cursor.
+  /// The payload is one unaligned 8-byte load masked to the width in
+  /// control bits [6:5]; bytes past the payload belong to later lanes,
+  /// the next block, or the sealed buffer's zero padding.
   void finalizeRecord(uint32_t I, TraceRecord &Out) {
     uint8_t C = Ctrl[I];
+    uint32_t W = (C >> 5) & 0x3;
+    uint64_t Payload;
+    std::memcpy(&Payload, DataPos, sizeof(Payload));
+    Payload &= ~uint64_t(0) >> (64 - (8u << W));
+    DataPos += 1u << W;
+    assert((I + 1 != BlockLen || DataPos == DataEnd) &&
+           "block data lane length mismatch");
     auto Kind = TraceRecord::Kind(C & 0x3);
     Out.K = Kind;
     if (Kind == TraceRecord::Kind::Tick) {
       Out.Addr = 0;
-      Out.Arg = Payloads[I];
+      Out.Arg = Payload;
       return;
     }
-    PrevAddr += uint64_t(zigzagDecode(Payloads[I]));
+    PrevAddr += uint64_t(zigzagDecode(Payload));
     Out.Addr = PrevAddr;
     if (Kind == TraceRecord::Kind::Prefetch) {
       Out.Arg = 0;
@@ -183,12 +197,12 @@ private:
   size_t RecordsLeft = 0;
   uint64_t PrevAddr = 0;
   // State for the open block.
-  const uint8_t *Ctrl = nullptr;     ///< Control lane.
-  const uint8_t *Extra = nullptr;    ///< Extra-lane read position.
+  const uint8_t *Ctrl = nullptr;    ///< Control lane.
+  const uint8_t *DataPos = nullptr; ///< Data-lane read position.
+  const uint8_t *DataEnd = nullptr; ///< End of the data lane.
+  const uint8_t *Extra = nullptr;   ///< Extra-lane read position.
   uint32_t BlockLen = 0;
   uint32_t BlockIdx = 0;
-  /// Kernel-decoded raw payloads of the open block.
-  uint64_t Payloads[TraceBlockCap];
 };
 
 /// Append-only recorded access stream. Fill through the record*() calls
@@ -254,30 +268,28 @@ public:
 
   /// Freezes the buffer and trims its allocation in place. Required
   /// before views may be shared across threads. Sealed buffers keep
-  /// TraceSimdPadBytes of readable zero padding past the encoded bytes
-  /// so the shuffle kernels' full-width tail loads stay in bounds;
+  /// TracePadBytes of readable zero padding past the encoded bytes so
+  /// the cursor's 8-byte load of the last payload stays in bounds;
   /// bytes() still reports the unpadded size.
   void seal() {
     flushBlock();
     Sealed = true;
-    reallocate(Used + TraceSimdPadBytes);
-    std::memset(Data.get() + Used, 0, TraceSimdPadBytes);
+    reallocate(Used + TracePadBytes);
+    std::memset(Data.get() + Used, 0, TracePadBytes);
   }
 
   bool sealed() const { return Sealed; }
 
   /// View over the whole recording.
   TraceView view() const {
-    assert(pendingEncodedBytes() == 0 &&
-           "seal() the buffer before taking views");
+    assert(Sealed && "seal() the buffer before taking views");
     return {Data.get(), NumRecords};
   }
 
   /// View over the first \p Records records.
   TraceView prefix(size_t Records) const {
     assert(Records <= NumRecords && "prefix longer than the recording");
-    assert(pendingEncodedBytes() == 0 &&
-           "seal() the buffer before taking views");
+    assert(Sealed && "seal() the buffer before taking views");
     return {Data.get(), Records};
   }
 
@@ -402,7 +414,7 @@ private:
 
   /// Backing storage, malloc-owned so it can grow and shrink through
   /// realloc; Capacity bytes with headroom while recording, trimmed to
-  /// the encoded bytes plus kernel padding by seal().
+  /// the encoded bytes plus TracePadBytes by seal().
   std::unique_ptr<uint8_t[], FreeDeleter> Data;
   size_t Capacity = 0;
   /// Encoded bytes written so far.

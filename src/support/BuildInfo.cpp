@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/BuildInfo.h"
-#include "support/SimdDispatch.h"
 
 #if defined(__linux__)
 #include <unistd.h>
@@ -19,7 +18,7 @@ using namespace ccl;
 
 const char *ccl::gitDescribe() { return CCL_GIT_DESCRIBE; }
 
-const char *ccl::simdKernel() { return simdLevelName(); }
+const char *ccl::simdKernel() { return "scalar"; }
 
 const std::string &ccl::binaryName() {
   static const std::string Name = [] {

@@ -27,10 +27,9 @@ const char *gitDescribe();
 /// when it cannot be resolved.
 const std::string &binaryName();
 
-/// Name of the trace-decode kernel this process selected ("scalar",
-/// "ssse3", or "avx2"; see support/SimdDispatch.h). Stamped into
-/// ccl-bench-v1 and ccl-metrics-v1 meta lines so archived perf numbers
-/// record which decode path produced them.
+/// Always "scalar": the trace cursor has one decoder. Kept only
+/// because perfbench/Harness.cpp still stamps it as its "simd" host
+/// field, and files under perfbench/ change only in benchmark PRs.
 const char *simdKernel();
 
 } // namespace ccl

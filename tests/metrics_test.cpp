@@ -19,8 +19,8 @@
 
 #include "obs/BenchReader.h"
 #include "obs/Export.h"
+#include "obs/FieldProfile.h"
 #include "obs/MetricsExport.h"
-#include "support/BuildInfo.h"
 #include "obs/PerfCounters.h"
 #include "support/Metrics.h"
 #include "support/SweepRunner.h"
@@ -166,8 +166,6 @@ TEST(MetricsExport, JsonlRoundTrip) {
   std::fclose(F);
   ASSERT_GT(Parsed, 0);
   EXPECT_FALSE(Doc.Binary.empty());
-  // The meta line stamps the decode kernel this process dispatched to.
-  EXPECT_EQ(Doc.Simd, simdKernel());
 
   uint64_t Value = counterValue(Doc.Data, "test.rt_counter");
   EXPECT_EQ(Value, 123456789012ULL);
@@ -322,53 +320,66 @@ TEST(TraceMeta, MetaLineCarriesProducerStamp) {
   EXPECT_TRUE(Legacy.ProducerGit.empty());
 }
 
-TEST(TraceMeta, MetaLineCarriesCodecStamp) {
-  // ccl-trace-v2 meta lines stamp the blocked-codec parameters and the
-  // decode kernel the producer dispatched to. Readers auto-detect the
-  // generation from these fields instead of gating on the schema
-  // string, so v1 dumps (no stamp) keep parsing with the fields empty.
-  obs::TraceRecord V2;
+TEST(ArchivedArtifacts, RetiredCodecStampsStillParse) {
+  // Artifacts written while the trace decoder had runtime-selected
+  // SIMD kernels carry "simd" (and, in trace dumps, "trace_block")
+  // stamps that no writer emits any more. Readers skip unknown fields,
+  // so each archived meta line still parses as a record and every
+  // other field is read.
+  obs::TraceRecord Trace;
   ASSERT_TRUE(obs::parseTraceLine(
       R"({"kind":"meta","schema":"ccl-trace-v2","l1_block":32,)"
       R"("l1_sets":512,"l2_block":128,"l2_sets":2048,"hot_sets":7,)"
-      R"("sample":1,"simd":"avx2","trace_block":64,)"
+      R"("sample":16,"simd":"avx2","trace_block":64,)"
       R"("binary":"fig5_tree_microbenchmark","git":"abc123"})",
-      V2));
-  ASSERT_EQ(V2.RecordKind, obs::TraceRecord::Kind::Meta);
-  EXPECT_EQ(V2.Codec.Schema, "ccl-trace-v2");
-  EXPECT_EQ(V2.Codec.Simd, "avx2");
-  EXPECT_EQ(V2.Codec.TraceBlock, 64u);
-  EXPECT_EQ(V2.Config.L1BlockBytes, 32u); // v1 fields still read.
-  EXPECT_EQ(V2.Config.L2Sets, 2048u);
+      Trace));
+  ASSERT_EQ(Trace.RecordKind, obs::TraceRecord::Kind::Meta);
+  EXPECT_EQ(Trace.Config.L1BlockBytes, 32u);
+  EXPECT_EQ(Trace.Config.L1Sets, 512u);
+  EXPECT_EQ(Trace.Config.L2BlockBytes, 128u);
+  EXPECT_EQ(Trace.Config.L2Sets, 2048u);
+  EXPECT_EQ(Trace.Config.HotSets, 7u);
+  EXPECT_EQ(Trace.SampleInterval, 16u);
+  EXPECT_EQ(Trace.Producer, "fig5_tree_microbenchmark");
+  EXPECT_EQ(Trace.ProducerGit, "abc123");
 
-  obs::TraceRecord V1;
-  ASSERT_TRUE(obs::parseTraceLine(
-      R"({"kind":"meta","schema":"ccl-trace-v1","sample":16})", V1));
-  EXPECT_EQ(V1.Codec.Schema, "ccl-trace-v1");
-  EXPECT_TRUE(V1.Codec.Simd.empty());
-  EXPECT_EQ(V1.Codec.TraceBlock, 0u);
+  obs::MetricsDoc Metrics;
+  ASSERT_TRUE(obs::parseMetricsLine(
+      R"({"kind":"meta","schema":"ccl-metrics-v1","binary":"fig6",)"
+      R"("git":"def456","simd":"ssse3","clock_ns":123456,)"
+      R"("overflowed":1,"spans_dropped":3})",
+      Metrics));
+  EXPECT_EQ(Metrics.Binary, "fig6");
+  EXPECT_EQ(Metrics.Git, "def456");
+  EXPECT_TRUE(Metrics.Data.Overflowed);
+  EXPECT_EQ(Metrics.Data.SpansDropped, 3u);
 
-  obs::TraceRecord Bare; // pre-schema dumps: no stamp at all.
-  ASSERT_TRUE(obs::parseTraceLine(R"({"kind":"meta","sample":1})", Bare));
-  EXPECT_TRUE(Bare.Codec.Schema.empty());
-  EXPECT_TRUE(Bare.Codec.Simd.empty());
-  EXPECT_EQ(Bare.Codec.TraceBlock, 0u);
-}
+  obs::FieldsDoc Fields;
+  ASSERT_TRUE(obs::parseFieldsLine(
+      R"({"kind":"meta","schema":"ccl-fields-v1","binary":"ccllint",)"
+      R"("git":"789abc","simd":"scalar","attributed":40,)"
+      R"("unattributed":2})",
+      Fields));
+  EXPECT_EQ(Fields.Schema, "ccl-fields-v1");
+  EXPECT_EQ(Fields.Binary, "ccllint");
+  EXPECT_EQ(Fields.Git, "789abc");
+  EXPECT_EQ(Fields.Attributed, 40u);
+  EXPECT_EQ(Fields.Unattributed, 2u);
 
-TEST(BenchReaderTest, CarriesSimdStamp) {
-  // Post-stamp ccl-bench-v1 documents record the decode kernel in the
-  // header; pre-stamp documents parse with Simd empty.
-  obs::BenchDoc Stamped;
+  obs::BenchDoc Bench;
   ASSERT_TRUE(obs::parseBenchJson(
-      R"({"schema":"ccl-bench-v1","bench":"sim","full":false,)"
-      R"("build_type":"bench","simd":"ssse3","results":[]})",
-      Stamped));
-  EXPECT_EQ(Stamped.Simd, "ssse3");
-
-  obs::BenchDoc Legacy;
-  ASSERT_TRUE(obs::parseBenchJson(
-      R"({"schema":"ccl-bench-v1","bench":"sim","results":[]})", Legacy));
-  EXPECT_TRUE(Legacy.Simd.empty());
+      R"({"schema":"ccl-bench-v1","bench":"fig5","full":true,)"
+      R"("build_type":"bench","simd":"avx2",)"
+      R"("results":[{"name":"ctree","cycles_per_search":812.5}]})",
+      Bench));
+  EXPECT_EQ(Bench.Bench, "fig5");
+  EXPECT_EQ(Bench.BuildType, "bench");
+  EXPECT_TRUE(Bench.Full);
+  ASSERT_EQ(Bench.Results.size(), 1u);
+  EXPECT_EQ(Bench.Results[0].str("name"), "ctree");
+  bool Ok = false;
+  EXPECT_EQ(Bench.Results[0].num("cycles_per_search", &Ok), 812.5);
+  EXPECT_TRUE(Ok);
 }
 
 // Runs last (see file header): floods the counter table past

@@ -143,8 +143,9 @@ void expectDecodesTo(TraceView View, const std::vector<RawRecord> &Expected,
     SCOPED_TRACE("record " + std::to_string(I));
     ASSERT_TRUE(Cursor.next(Out));
     EXPECT_EQ(Out.K, Expected[I].K);
-    if (Expected[I].K != TraceRecord::Kind::Tick)
+    if (Expected[I].K != TraceRecord::Kind::Tick) {
       EXPECT_EQ(Out.Addr, Expected[I].Addr);
+    }
     EXPECT_EQ(Out.Arg, Expected[I].Arg);
   }
   EXPECT_TRUE(Cursor.done());
@@ -336,9 +337,9 @@ TEST(TraceBuffer, MovedFromAndClearedBuffersRecordAgain) {
   }
 }
 
-// The decode kernels load full vector widths past the last block, so
-// the TraceSimdPadBytes after bytes() must read as zero — even when the
-// storage held an earlier, longer recording there.
+// The cursor loads the last payload as a full 8 bytes, so the
+// TracePadBytes after bytes() must be readable, and they read as zero —
+// even when the storage held an earlier, longer recording there.
 TEST(TraceBuffer, SealedPaddingReadsZero) {
   TraceBuffer Buf = recorded(arbitraryStream(19, 30000), 30000);
   Buf.clear();
@@ -347,7 +348,7 @@ TEST(TraceBuffer, SealedPaddingReadsZero) {
     record(Buf, R);
   Buf.seal();
   const uint8_t *Pad = Buf.view().Data + Buf.bytes();
-  for (size_t I = 0; I < TraceSimdPadBytes; ++I)
+  for (size_t I = 0; I < TracePadBytes; ++I)
     EXPECT_EQ(Pad[I], 0u) << "pad byte " << I;
   expectDecodesTo(Buf.view(), Stream, Stream.size());
 }

@@ -7,10 +7,7 @@
 // cclstat: reconstructs a per-structure cache profile from a
 // ccl-trace-v1 or ccl-trace-v2 JSONL dump (as written by TraceSink /
 // `fig5_tree_microbenchmark --trace`), without re-running the
-// simulation. v2 meta lines additionally stamp the blocked trace
-// codec (records per block) and the producing process's decode
-// kernel; both are rendered in the text header and the --json
-// document's "trace_codec" object.
+// simulation.
 //
 //   cclstat trace.jsonl                 # text report
 //   cclstat --json - trace.jsonl        # ccl-profile-v1 JSON to stdout
@@ -109,10 +106,8 @@ int printBenchDivergence(const std::string &Path) {
     std::fprintf(stderr, "%s: %s\n", Path.c_str(), Error.c_str());
     return 1;
   }
-  std::printf("%s: bench %s (%s%s%s%s), %zu results\n", Path.c_str(),
+  std::printf("%s: bench %s (%s%s), %zu results\n", Path.c_str(),
               Doc.Bench.c_str(), Doc.BuildType.c_str(),
-              Doc.Simd.empty() ? "" : ", simd ",
-              Doc.Simd.empty() ? "" : Doc.Simd.c_str(),
               Doc.Full ? ", full scale" : "", Doc.Results.size());
 
   // The "(hw)" meta record reports counter availability on the
@@ -365,7 +360,6 @@ int main(int Argc, char **Argv) {
   std::unique_ptr<ChromeWriter> Chrome;
   std::vector<uint32_t> IdMap = {RegionRegistry::Unknown};
   uint64_t SampleInterval = 1;
-  TraceCodecInfo Codec;
   auto localId = [&](uint32_t TraceId) {
     return TraceId < IdMap.size() ? IdMap[TraceId] : RegionRegistry::Unknown;
   };
@@ -379,7 +373,6 @@ int main(int Argc, char **Argv) {
     case TraceRecord::Kind::Meta:
       ensureSink(Record.Config);
       SampleInterval = Record.SampleInterval;
-      Codec = Record.Codec;
       break;
     case TraceRecord::Kind::Region: {
       uint32_t Local = Registry.define(Record.Region);
@@ -488,8 +481,6 @@ int main(int Argc, char **Argv) {
       if (!Metrics.Binary.empty())
         std::printf(" from %s (%s)", Metrics.Binary.c_str(),
                     Metrics.Git.c_str());
-      if (!Metrics.Simd.empty())
-        std::printf(" [simd %s]", Metrics.Simd.c_str());
       std::printf("\n\n");
       printMetricsReport(Metrics, stdout);
     }
@@ -520,21 +511,12 @@ int main(int Argc, char **Argv) {
       std::printf(" (1-in-%" PRIu64
                   " sampled; counts reflect sampled events only)",
                   SampleInterval);
-    if (Codec.any()) {
-      std::printf(" [%s", Codec.Schema.empty() ? "ccl-trace-v1"
-                                               : Codec.Schema.c_str());
-      if (Codec.TraceBlock != 0)
-        std::printf(", block %" PRIu64, Codec.TraceBlock);
-      if (!Codec.Simd.empty())
-        std::printf(", simd %s", Codec.Simd.c_str());
-      std::printf("]");
-    }
     std::printf("\n\n");
     Sink->printReport();
   }
   if (!JsonPath.empty()) {
     if (std::FILE *Out = openOut(JsonPath)) {
-      writeProfileJson(*Sink, Out, &Codec);
+      writeProfileJson(*Sink, Out);
       closeOut(Out);
     } else {
       return 1;
